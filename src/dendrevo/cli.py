@@ -202,6 +202,7 @@ def _experiment_spec(res: _Resolver, variants: tuple[Variant, ...]) -> Experimen
             test_size=res.pick("test_size", int, 1000),
             encoding=res.pick("encoding", _parse_encoding, Encoding.SIGN_SPLIT),
             master_seed=res.seed(),
+            shared_landscape=res.pick_bool("shared_landscape", False),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -32,8 +32,11 @@ from .net import (
     GateState,
     Individual,
     Network,
+    blocked_matrix,
     count_active_gates,
     mse,
+    retract_blocked,
+    retract_input_gates,
 )
 from .nk import Dataset, NKLandscape, generate_dataset
 
@@ -75,6 +78,8 @@ class EvoConfig:
             raise ValueError("generations cannot be negative")
         if not 0.0 <= self.dendrite_mutation_prob <= 1.0:
             raise ValueError("dendrite_mutation_prob must lie in [0, 1]")
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ValueError("drop_prob must lie in [0, 1]")
         if self.offspring_per_generation is not None and self.offspring_per_generation < 1:
             raise ValueError("offspring_per_generation must be >= 1")
 
@@ -289,12 +294,6 @@ def describe_mutation(
     return child, WeightChange(_FIELD_B_OUT, 0, 0, delta)
 
 
-def mutate(parent: Network, config: EvoConfig, rng: np.random.Generator) -> Network:
-    """Single-gene mutation; see :func:`describe_mutation` for the rules."""
-    child, _ = describe_mutation(parent, config, rng)
-    return child
-
-
 def _replace_slot(
     pop: Population,
     offspring: Individual,
@@ -332,26 +331,20 @@ def replace(
 
 # --- incremental training-set evaluation --------------------------------------
 
-_DET_GATE_KINDS = (GateKind.LOWER, GateKind.UPPER, GateKind.RANGE)
-
-
-def _det_mask(gate: GateState, values: np.ndarray) -> np.ndarray:
-    if gate.kind is GateKind.LOWER:
-        return values >= gate.a
-    if gate.kind is GateKind.UPPER:
-        return values <= gate.a
-    if gate.kind is GateKind.RANGE:
-        return (values >= gate.a) & (values <= gate.b)
-    raise ValueError("mask is only defined for deterministic gate kinds")
-
 
 def _eff_mask(gate: GateState, values: np.ndarray):
     """Deterministic contribution factor of a connection under a gate:
     a 0/1 mask for threshold/range kinds, 1 otherwise (inactive gates
     always transmit; drop corrections are applied per pass, not here)."""
-    if gate.kind in _DET_GATE_KINDS:
-        return _det_mask(gate, values).astype(np.float64)
-    return 1.0
+    if gate.kind is GateKind.LOWER:
+        passed = values >= gate.a
+    elif gate.kind is GateKind.UPPER:
+        passed = values <= gate.a
+    elif gate.kind is GateKind.RANGE:
+        passed = (values >= gate.a) & (values <= gate.b)
+    else:
+        return 1.0
+    return passed.astype(np.float64)
 
 
 @dataclass
@@ -416,35 +409,11 @@ class TrainEvaluator:
 
     def _finish_state(self, net: Network, det_pre_hidden: np.ndarray) -> EvalState:
         """Apply deterministic gate retractions and price the output layer."""
-        X = self.features
-        kinds = net.gate_kind_in.reshape(-1)
-        det = np.isin(kinds, _DET_GATE_KINDS)
-        flat = np.flatnonzero(det)
+        flat = _det_gates(net.gate_kind_in.reshape(-1))
         if flat.size:
-            j_idx = flat // net.n
-            i_idx = flat % net.n
-            values = X[:, i_idx]
-            a = net.gate_a_in.reshape(-1)[flat]
-            b = net.gate_b_in.reshape(-1)[flat]
-            k = kinds[flat]
-            passed = np.empty(values.shape, dtype=bool)
-            sel = k == GateKind.LOWER
-            passed[:, sel] = values[:, sel] >= a[sel]
-            sel = k == GateKind.UPPER
-            passed[:, sel] = values[:, sel] <= a[sel]
-            sel = k == GateKind.RANGE
-            passed[:, sel] = (values[:, sel] >= a[sel]) & (values[:, sel] <= b[sel])
-            retract = np.where(passed, 0.0, net.w_in[j_idx, i_idx] * values)
-            starts = np.flatnonzero(np.r_[True, j_idx[1:] != j_idx[:-1]])
-            det_pre_hidden[:, j_idx[starts]] -= np.add.reduceat(retract, starts, axis=1)
+            retract_input_gates(net, det_pre_hidden, self.features, flat)
         hidden = expit(det_pre_hidden)
-        det_pre_out = hidden @ net.w_out + net.b_out
-        for j in range(net.h):
-            gate = net.output_gate(j)
-            if gate.kind in _DET_GATE_KINDS:
-                mask = _det_mask(gate, hidden[:, j])
-                det_pre_out -= np.where(mask, 0.0, net.w_out[j] * hidden[:, j])
-        return EvalState(det_pre_hidden, hidden, det_pre_out)
+        return EvalState(det_pre_hidden, hidden, _det_pre_out(net, hidden))
 
     def _refresh_node(self, child: Network, state: EvalState, j: int) -> None:
         """Recompute hidden column j and fold the change into det_pre_out."""
@@ -453,12 +422,12 @@ class TrainEvaluator:
         state.hidden[:, j] = h_new
         gate = child.output_gate(j)
         w = float(child.w_out[j])
-        if gate.kind in _DET_GATE_KINDS:
-            m_old = _det_mask(gate, h_old).astype(np.float64)
-            m_new = _det_mask(gate, h_new).astype(np.float64)
-            state.det_pre_out += w * (h_new * m_new - h_old * m_old)
-        else:
+        if gate.kind in (GateKind.INACTIVE, GateKind.DROP):
             state.det_pre_out += w * (h_new - h_old)
+        else:
+            state.det_pre_out += w * (
+                h_new * _eff_mask(gate, h_new) - h_old * _eff_mask(gate, h_old)
+            )
 
     def child_state(
         self, parent_state: EvalState, child: Network, change: MutationRecord
@@ -506,48 +475,56 @@ class TrainEvaluator:
         """MSE from a state. Drop coins, when present, are drawn in the
         same order as the direct route: one block for the input layer's
         drop gates in ascending connection order, then one for the
-        output layer's."""
-        X = self.features
-        drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP)
+        output layer's. Dropped terms are zeroed by a 0/1 multiply, not a
+        select, which spares a mispredicted branch per coin. A dropped
+        term may then be -0.0 where the select gave +0.0; adding either to
+        a nonzero partial sum is exact and ``expit`` maps both zeros to the
+        same value, so the score is bitwise that of the select."""
+        drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP.value)
+        drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP.value)
+        if (drop_in.size or drop_out.size) and rng is None:
+            raise ValueError("a DROP gate needs an rng to flip its coins")
+        hidden, pre_out = state.hidden, state.det_pre_out
         if drop_in.size:
-            if rng is None:
-                raise ValueError("a DROP gate needs an rng to flip its coins")
-            j_idx = drop_in // net.n
-            i_idx = drop_in % net.n
-            values = X[:, i_idx]
-            coins = rng.random((X.shape[0], drop_in.size)) >= self.drop_prob
-            retract = np.where(coins, 0.0, net.w_in[j_idx, i_idx] * values)
+            nodes, inputs = np.divmod(drop_in, net.n)
             pre_hidden = state.det_pre_hidden.copy()
-            starts = np.flatnonzero(np.r_[True, j_idx[1:] != j_idx[:-1]])
-            pre_hidden[:, j_idx[starts]] -= np.add.reduceat(retract, starts, axis=1)
+            blocked = rng.random((len(self.targets), drop_in.size)) < self.drop_prob
+            w = net.w_in.reshape(-1)[drop_in]
+            values = np.take(self.features, inputs, axis=1)
+            retract_blocked(pre_hidden, values, w, blocked, nodes)
             hidden = expit(pre_hidden)
-            pre_out = hidden @ net.w_out + net.b_out
-            for j in range(net.h):
-                gate = net.output_gate(j)
-                if gate.kind in _DET_GATE_KINDS:
-                    mask = _det_mask(gate, hidden[:, j])
-                    pre_out -= np.where(mask, 0.0, net.w_out[j] * hidden[:, j])
-            pre_out = self._retract_output_drops(net, hidden, pre_out, rng)
-        else:
-            drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP)
-            if drop_out.size:
-                if rng is None:
-                    raise ValueError("a DROP gate needs an rng to flip its coins")
-                pre_out = self._retract_output_drops(
-                    net, state.hidden, state.det_pre_out.copy(), rng
-                )
-            else:
-                pre_out = state.det_pre_out
+            pre_out = _det_pre_out(net, hidden)
+        if drop_out.size:
+            values = np.take(hidden, drop_out, axis=1)  # C order, as in predict
+            values *= net.w_out[drop_out]
+            values *= rng.random(values.shape) < self.drop_prob
+            pre_out = pre_out - values.sum(axis=1)
         err = expit(pre_out) - self.targets
         return float(err @ err / err.shape[0])
 
-    def _retract_output_drops(self, net, hidden, pre_out, rng):
-        drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP)
-        if drop_out.size:
-            values = hidden[:, drop_out]
-            coins = rng.random((hidden.shape[0], drop_out.size)) >= self.drop_prob
-            pre_out = pre_out - np.where(coins, 0.0, net.w_out[drop_out] * values).sum(axis=1)
-        return pre_out
+
+def _det_gates(kinds: np.ndarray) -> np.ndarray:
+    """Indices of the LOWER, UPPER and RANGE gates among ``kinds``."""
+    return np.flatnonzero(
+        (kinds != GateKind.INACTIVE.value) & (kinds != GateKind.DROP.value)
+    )
+
+
+def _det_pre_out(net: Network, hidden: np.ndarray) -> np.ndarray:
+    """Output pre-activation with the deterministic output gates' terms
+    retracted one node at a time, in ascending node order."""
+    pre_out = hidden @ net.w_out + net.b_out
+    det = _det_gates(net.gate_kind_out)
+    if det.size:
+        values = hidden[:, det]
+        blocked = blocked_matrix(
+            net.gate_kind_out[det], net.gate_a_out[det], net.gate_b_out[det], values
+        )
+        values *= net.w_out[det]
+        values *= blocked
+        for terms in values.T:
+            pre_out -= terms
+    return pre_out
 
 
 # --- the steady-state loop -----------------------------------------------------

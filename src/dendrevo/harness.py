@@ -10,6 +10,7 @@ finished cell can be reloaded from disk instead of recomputed.
 from __future__ import annotations
 
 import os
+import secrets
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace as dc_replace
 from itertools import combinations
@@ -127,10 +128,17 @@ def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
 # --- per-cell persistence ---------------------------------------------------
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _atomic_write(path: Path, write: Callable[[Path], None]) -> None:
+    """Let ``write`` fill a temp file beside ``path``, then rename it over
+    ``path``, so readers see the old file or the whole new one. The pid
+    and a random token keep concurrent writers' temp names apart."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trace_csv(
@@ -153,7 +161,8 @@ def write_trace_csv(
                     )
                 )
             )
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_write(Path(path), lambda tmp: tmp.write_text(text))
 
 
 def read_trace_rows(path: str | Path) -> list[tuple[str, int, TraceRecord]]:
@@ -228,7 +237,7 @@ def _run_and_store(
         if runs_dir is not None:
             csv_path, dnet_path = _cell_paths(Path(runs_dir), variant, run)
             # Genome first: the trace file is the completion marker.
-            save_network(trace.final_network, dnet_path)
+            _atomic_write(dnet_path, lambda tmp: save_network(trace.final_network, tmp))
             write_trace_csv(csv_path, [(variant, run, trace)])
         return trace
     except Exception as exc:

@@ -92,14 +92,6 @@ class GateState:
         return cls(GateKind.DROP)
 
 
-@dataclass(frozen=True)
-class Connection:
-    """A weight plus its gate, as seen by genome export and inspection."""
-
-    weight: float
-    gate: GateState
-
-
 def gate_passes(
     gate: GateState,
     x: float,
@@ -231,12 +223,6 @@ class Network:
         self.gate_a_out[j] = gate.a
         self.gate_b_out[j] = gate.b
 
-    def input_connection(self, j: int, i: int) -> Connection:
-        return Connection(float(self.w_in[j, i]), self.input_gate(j, i))
-
-    def output_connection(self, j: int) -> Connection:
-        return Connection(float(self.w_out[j]), self.output_gate(j))
-
 
 @dataclass
 class Individual:
@@ -251,31 +237,77 @@ class Individual:
             raise ValueError("fitness (an MSE) cannot be negative")
 
 
-def _pass_matrix(
+def blocked_matrix(
     kinds: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     values: np.ndarray,
-    rng: np.random.Generator | None,
-    drop_prob: float,
+    rng: np.random.Generator | None = None,
+    drop_prob: float = DEFAULT_DROP_PROB,
 ) -> np.ndarray:
-    """(batch, gates) boolean pass mask for one layer's active gates."""
-    passed = np.ones(values.shape, dtype=bool)
-    sel = kinds == GateKind.LOWER
-    if sel.any():
-        passed[:, sel] = values[:, sel] >= a[sel]
-    sel = kinds == GateKind.UPPER
-    if sel.any():
-        passed[:, sel] = values[:, sel] <= a[sel]
-    sel = kinds == GateKind.RANGE
-    if sel.any():
-        passed[:, sel] = (values[:, sel] >= a[sel]) & (values[:, sel] <= b[sel])
-    sel = kinds == GateKind.DROP
-    if sel.any():
+    """(batch, gates) mask, True where an active gate blocks its input.
+
+    LOWER, UPPER and RANGE gates admit the inclusive interval [lo, hi]
+    with the open sides at infinity. DROP coins are one uniform block
+    over the drop gates in the given order; a coin below drop_prob blocks.
+    """
+    # Comparing against .value (a plain int) skips NumPy's slow enum path.
+    lo = np.where(kinds == GateKind.UPPER.value, -np.inf, a)
+    hi = np.where(kinds == GateKind.RANGE.value, b, a)
+    hi[kinds == GateKind.LOWER.value] = np.inf
+    blocked = (values < lo) | (values > hi)
+    drops = np.flatnonzero(kinds == GateKind.DROP.value)
+    if drops.size:
         if rng is None:
             raise ValueError("a DROP gate needs an rng to flip its coins")
-        passed[:, sel] = rng.random((values.shape[0], int(sel.sum()))) >= drop_prob
-    return passed
+        blocked[:, drops] = rng.random((values.shape[0], drops.size)) < drop_prob
+    return blocked
+
+
+def retract_blocked(
+    pre: np.ndarray,
+    values: np.ndarray,
+    w: np.ndarray,
+    blocked: np.ndarray,
+    nodes: np.ndarray,
+) -> None:
+    """Subtract every blocked connection's term from its node, in place.
+
+    Column g of the (batch, gates) ``values`` feeds node ``nodes[g]``
+    through weight ``w[g]``; ``nodes`` must be ascending. ``values`` is
+    overwritten with the terms ``w * values * blocked``, and each node's
+    terms are summed by one ``np.add.reduceat`` segment. The 0/1 multiply
+    equals a select on ``blocked`` except that a dropped term may be -0.0
+    instead of +0.0, which leaves every nonzero sum unchanged.
+    """
+    values *= w
+    values *= blocked
+    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
+    sums = np.add.reduceat(values, starts, axis=1)
+    if starts.size == pre.shape[1]:
+        pre -= sums  # every node is hit: skip the slow column scatter
+    else:
+        pre[:, nodes[starts]] -= sums
+
+
+def retract_input_gates(
+    net: Network,
+    pre: np.ndarray,
+    features: np.ndarray,
+    flat: np.ndarray,
+    rng: np.random.Generator | None = None,
+    drop_prob: float = DEFAULT_DROP_PROB,
+) -> None:
+    """Retract the input-layer gates at row-major indices ``flat`` from
+    the (batch, h) hidden pre-activations ``pre``, in place."""
+    nodes, inputs = np.divmod(flat, net.n)  # row-major, so nodes ascend
+    values = np.take(features, inputs, axis=1)
+    kinds, a, b, w = (
+        m.reshape(-1)[flat]
+        for m in (net.gate_kind_in, net.gate_a_in, net.gate_b_in, net.w_in)
+    )
+    blocked = blocked_matrix(kinds, a, b, values, rng, drop_prob)
+    retract_blocked(pre, values, w, blocked, nodes)
 
 
 def predict(
@@ -300,31 +332,22 @@ def predict(
     pre_hidden = features @ net.w_in.T + net.b_hidden
     flat = np.flatnonzero(net.gate_kind_in)
     if flat.size:
-        j_idx = flat // net.n
-        i_idx = flat % net.n
-        values = features[:, i_idx]
-        passed = _pass_matrix(
-            net.gate_kind_in[j_idx, i_idx],
-            net.gate_a_in[j_idx, i_idx],
-            net.gate_b_in[j_idx, i_idx],
-            values, rng, drop_prob,
-        )
-        retract = np.where(passed, 0.0, net.w_in[j_idx, i_idx] * values)
-        # flat indices are row-major, so j_idx is sorted: segment-sum per node.
-        starts = np.flatnonzero(np.r_[True, j_idx[1:] != j_idx[:-1]])
-        pre_hidden[:, j_idx[starts]] -= np.add.reduceat(retract, starts, axis=1)
+        retract_input_gates(net, pre_hidden, features, flat, rng, drop_prob)
     hidden = expit(pre_hidden)
     pre_out = hidden @ net.w_out + net.b_out
     flat_out = np.flatnonzero(net.gate_kind_out)
     if flat_out.size:
-        values = hidden[:, flat_out]
-        passed = _pass_matrix(
+        # np.take returns C order, which fixes how .sum(axis=1) adds a row.
+        values = np.take(hidden, flat_out, axis=1)
+        blocked = blocked_matrix(
             net.gate_kind_out[flat_out],
             net.gate_a_out[flat_out],
             net.gate_b_out[flat_out],
             values, rng, drop_prob,
         )
-        pre_out -= np.where(passed, 0.0, net.w_out[flat_out] * values).sum(axis=1)
+        values *= net.w_out[flat_out]
+        values *= blocked
+        pre_out -= values.sum(axis=1)
     return expit(pre_out)
 
 

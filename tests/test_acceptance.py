@@ -41,10 +41,10 @@ from dendrevo import (
     build_landscape,
     compare,
     count_active_gates,
+    describe_mutation,
     evaluate_genomes,
     generate_dataset,
     mse,
-    mutate,
     predict,
     read_trace_rows,
     replace,
@@ -216,7 +216,7 @@ def test_criterion_03_mutation_and_replacement_properties():
     parent.w_in[:] = rng.uniform(-1.0, 1.0, parent.w_in.shape)
     exactly_one = True
     for _ in range(10_000):
-        child = mutate(parent, config, rng)
+        child, _ = describe_mutation(parent, config, rng)
         exactly_one = exactly_one and _changed_genes(parent, child) == 1
         parent = child
     # Active random-drop gates may redraw their own state, the one
@@ -224,7 +224,7 @@ def test_criterion_03_mutation_and_replacement_properties():
     drop_config = EvoConfig(h=4, variant=Variant.RANDOM_DROPOUT)
     drop_ok = True
     for _ in range(10_000):
-        child = mutate(parent, drop_config, rng)
+        child, _ = describe_mutation(parent, drop_config, rng)
         changed = _changed_genes(parent, child)
         if changed == 0:
             drop_ok = drop_ok and count_active_gates(parent)[0] > 0

@@ -18,7 +18,16 @@ from dendrevo import (
     gate_fraction,
     save_network,
 )
-from dendrevo.cli import COMPARE_HEADER, SUMMARY_HEADER, SWEEP_HEADER, main
+from dendrevo.cli import (
+    COMPARE_HEADER,
+    SUMMARY_HEADER,
+    SWEEP_HEADER,
+    _experiment_spec,
+    _resolver,
+    build_parser,
+    main,
+)
+from dendrevo.evolve import Variant
 from dendrevo.harness import TRACE_HEADER, format_float, read_trace_rows
 
 # Shared tiny-problem flags: n=8, k=2, 6 genomes, 2 hidden nodes,
@@ -181,6 +190,27 @@ def test_invalid_problem_shape_is_a_usage_error(tmp_path, capsys):
     ])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_drop_prob_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
+    rc = main(["run", *TINY, "--drop-prob", "1.5", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "drop_prob" in capsys.readouterr().err
+
+
+def _spec_from(argv):
+    args = build_parser().parse_args(argv)
+    return _experiment_spec(_resolver(args), (Variant.DENDRITE_THRESHOLD,))
+
+
+def test_shared_landscape_flag_and_config_key_reach_the_spec(tmp_path):
+    assert _spec_from(["run", *TINY]).shared_landscape is False
+    assert _spec_from(["run", *TINY, "--shared-landscape"]).shared_landscape is True
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("shared_landscape = yes\n")
+    assert _spec_from(["run", "--config", str(cfg)]).shared_landscape is True
+    cfg.write_text("shared_landscape = no\n")
+    assert _spec_from(["run", "--config", str(cfg)]).shared_landscape is False
 
 
 def test_compare_writes_pairwise_table(tmp_path, capsys):

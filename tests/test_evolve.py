@@ -10,7 +10,6 @@ from dendrevo.evolve import (
     Variant,
     WeightChange,
     describe_mutation,
-    mutate,
     replace,
     run_evolution,
     seed_population,
@@ -79,6 +78,14 @@ def test_config_validation():
     assert EvoConfig(offspring_per_generation=7).steps_per_generation == 7
 
 
+def test_config_rejects_drop_prob_outside_unit_interval():
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="drop_prob"):
+            EvoConfig(drop_prob=bad)
+    assert EvoConfig(drop_prob=0.0).drop_prob == 0.0
+    assert EvoConfig(drop_prob=1.0).drop_prob == 1.0
+
+
 def test_standard_variant_never_mutates_gates(task):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.STANDARD)
@@ -86,7 +93,7 @@ def test_standard_variant_never_mutates_gates(task):
     rng = np.random.default_rng(0)
     parent = seed_population(cfg, train.n, train, rng)[0].network
     for _ in range(2000):
-        child = mutate(parent, cfg, rng)
+        child, _ = describe_mutation(parent, cfg, rng)
         assert count_active_gates(child)[0] == 0
 
 

@@ -1,8 +1,13 @@
 """Experiment orchestration, persistence, and the statistics layer."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
+
+from dendrevo import harness
 
 from dendrevo.evolve import EvoConfig, RunTrace, TraceRecord, Variant
 from dendrevo.harness import (
@@ -208,6 +213,40 @@ def test_run_experiment_persists_and_resumes(tmp_path):
             assert np.array_equal(
                 t_fresh.final_network.w_in, t_again.final_network.w_in
             )
+
+
+def test_cell_files_arrive_by_rename_and_leave_no_temp_files(tmp_path, monkeypatch):
+    renamed = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        renamed.append((Path(src).name, Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", spy)
+    out = tmp_path / "exp"
+    run_experiment(tiny_spec(), out_dir=out)
+    cell_files = sorted(p.name for p in (out / "runs").iterdir())
+    assert len(cell_files) == 8  # a trace and a genome per cell
+    assert sorted(dst for _, dst in renamed) == cell_files
+    temp_names = [src for src, _ in renamed]
+    assert len(set(temp_names)) == len(temp_names)
+    assert all(src.startswith(dst + ".") for src, dst in renamed)
+    assert list(out.rglob("*.tmp")) == []
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path):
+    target = tmp_path / "cell.trace.csv"
+    target.write_text("old\n")
+
+    def fail(tmp):
+        tmp.write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        harness._atomic_write(target, fail)
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_run_experiment_without_out_dir_matches_persisted(tmp_path):
