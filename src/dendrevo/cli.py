@@ -22,6 +22,7 @@ import numpy as np
 from .evolve import EvoConfig, Variant
 from .harness import (
     ExperimentSpec,
+    SpecMismatch,
     TRACE_HEADER,
     compare,
     format_float,
@@ -530,6 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except SpecMismatch as exc:  # a resume under a different spec
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,10 @@ its pre-activations on the training set, and an offspring's state is its
 parent's plus one column update. Only drop-gate coin flips are redrawn
 per evaluation. The direct forward pass in :mod:`dendrevo.net` remains
 the reference; the cached path must agree with it to float tolerance.
+
+Genomes and states are persistent: once a genome is in the population,
+its arrays are never written in place. A child shares with its parent
+every genome array and state column that its mutation does not write.
 """
 
 from __future__ import annotations
@@ -235,11 +239,17 @@ def _mutate_active_gate(gate: GateState, r: float, rng: np.random.Generator) -> 
             return GateState.band(float(edges.min()), float(edges.max()))
         return GateState.inactive()
     if gate.kind is GateKind.DROP:
-        move = int(rng.integers(0, 2))
-        if move == 0:
-            return GateState.drop()
-        return GateState.inactive()
+        return GateState.drop() if int(rng.integers(0, 2)) == 0 else GateState.inactive()
     raise ValueError("cannot mutate an inactive gate here")
+
+
+def _child(parent: Network, *written: str) -> Network:
+    """A genome sharing every array of ``parent`` except the ``written``
+    fields, which it copies, so writing them leaves the parent intact."""
+    child = Network(*(getattr(parent, name) for name in Network.__slots__))
+    for name in written:
+        setattr(child, name, getattr(parent, name).copy())
+    return child
 
 
 def describe_mutation(
@@ -254,44 +264,42 @@ def describe_mutation(
     [-1, 1] parameters, an active one takes one of its moves. Values are
     never clamped; a threshold drifting outside [-1, 1] simply behaves as
     an always-open (or always-shut) condition for inputs in range.
+    The child shares the parent's arrays and copies only those it writes.
     """
-    child = parent.copy()
-    n, h = child.n, child.h
+    n, h = parent.n, parent.h
     if rng.random() < config.effective_dendrite_prob:
-        gate_idx = int(rng.integers(0, child.gateable_count))
-        if gate_idx < n * h:
-            j, i = divmod(gate_idx, n)
-            old = child.input_gate(j, i)
-            if old.kind is GateKind.INACTIVE:
-                new = _activate_gate(config.variant, rng)
-            else:
-                new = _mutate_active_gate(old, config.r, rng)
-            child.set_input_gate(j, i, new)
-            return child, GateChange(False, j, i, old, new)
-        j = gate_idx - n * h
-        old = child.output_gate(j)
+        gate_idx = int(rng.integers(0, parent.gateable_count))
+        output_layer = gate_idx >= n * h
+        j, i = (gate_idx - n * h, 0) if output_layer else divmod(gate_idx, n)
+        old = parent.output_gate(j) if output_layer else parent.input_gate(j, i)
         if old.kind is GateKind.INACTIVE:
             new = _activate_gate(config.variant, rng)
         else:
             new = _mutate_active_gate(old, config.r, rng)
-        child.set_output_gate(j, new)
-        return child, GateChange(True, j, 0, old, new)
-    param_idx = int(rng.integers(0, child.param_count))
+        if output_layer:
+            child = _child(parent, "gate_kind_out", "gate_a_out", "gate_b_out")
+            child.set_output_gate(j, new)
+        else:
+            child = _child(parent, "gate_kind_in", "gate_a_in", "gate_b_in")
+            child.set_input_gate(j, i, new)
+        return child, GateChange(output_layer, j, i, old, new)
+    param_idx = int(rng.integers(0, parent.param_count))
     delta = float(rng.uniform(-config.r, config.r))
     if param_idx < n * h:
         j, i = divmod(param_idx, n)
+        child = _child(parent, "w_in")
         child.w_in[j, i] += delta
         return child, WeightChange(_FIELD_W_IN, j, i, delta)
-    if param_idx < n * h + h:
-        j = param_idx - n * h
-        child.b_hidden[j] += delta
-        return child, WeightChange(_FIELD_B_HIDDEN, j, 0, delta)
-    if param_idx < n * h + 2 * h:
-        j = param_idx - n * h - h
-        child.w_out[j] += delta
-        return child, WeightChange(_FIELD_W_OUT, j, 0, delta)
-    child.b_out += delta
-    return child, WeightChange(_FIELD_B_OUT, 0, 0, delta)
+    # Past the input weights come h biases, h output weights, the output bias.
+    kind, j = divmod(param_idx - n * h + h, h)
+    if kind == _FIELD_B_OUT:
+        child = _child(parent)
+        child.b_out += delta
+    else:
+        name = "b_hidden" if kind == _FIELD_B_HIDDEN else "w_out"
+        child = _child(parent, name)
+        getattr(child, name)[j] += delta
+    return child, WeightChange(kind, j, 0, delta)
 
 
 def _replace_slot(
@@ -300,7 +308,9 @@ def _replace_slot(
     parsimony: bool,
     rng: np.random.Generator,
 ) -> tuple[int, bool]:
-    """Pick the victim slot and decide; returns (slot, offspring moved in)."""
+    """Overwrite a uniformly chosen slot with the offspring, unless an exact
+    fitness tie lets the contender with fewer active gates keep it (equal
+    counts fall to a fair coin); returns (slot, offspring moved in)."""
     idx = int(rng.integers(0, len(pop)))
     victim = pop[idx]
     if parsimony and offspring.fitness == victim.fitness:
@@ -313,38 +323,27 @@ def _replace_slot(
     return idx, True
 
 
-def replace(
-    pop: Population,
-    offspring: Individual,
-    parsimony: bool,
-    rng: np.random.Generator,
-) -> Population:
-    """Overwrite a uniformly chosen slot with the offspring.
-
-    Replacement is unconditional on fitness; only an exact fitness tie
-    triggers the parsimony rule, where the contender with fewer active
-    gates keeps the slot and equal counts fall to a fair coin.
-    """
-    _replace_slot(pop, offspring, parsimony, rng)
-    return pop
-
-
 # --- incremental training-set evaluation --------------------------------------
 
 
-def _eff_mask(gate: GateState, values: np.ndarray):
-    """Deterministic contribution factor of a connection under a gate:
-    a 0/1 mask for threshold/range kinds, 1 otherwise (inactive gates
-    always transmit; drop corrections are applied per pass, not here)."""
-    if gate.kind is GateKind.LOWER:
-        passed = values >= gate.a
-    elif gate.kind is GateKind.UPPER:
-        passed = values <= gate.a
-    elif gate.kind is GateKind.RANGE:
-        passed = (values >= gate.a) & (values <= gate.b)
+def _pass_mask(kind: int, a: float, b: float, values: np.ndarray):
+    """Deterministic contribution factor of a gate on ``values``: a 0/1 mask
+    for threshold/range kinds, 1 otherwise (drop corrections are per pass)."""
+    if kind == GateKind.LOWER:
+        passed = values >= a
+    elif kind == GateKind.UPPER:
+        passed = values <= a
+    elif kind == GateKind.RANGE:
+        passed = (values >= a) & (values <= b)
     else:
         return 1.0
     return passed.astype(np.float64)
+
+
+def _output_mask(net: Network, j: int, values: np.ndarray):
+    """``_pass_mask`` of the gate on hidden node j's output connection."""
+    kind = int(net.gate_kind_out[j])
+    return _pass_mask(kind, net.gate_a_out[j], net.gate_b_out[j], values)
 
 
 @dataclass
@@ -356,16 +355,22 @@ class EvalState:
     corrections are per-pass). hidden and det_pre_out follow from it the
     same way. For a network with no drop gates, det_pre_out is the exact
     output pre-activation.
+
+    Each hidden node's pre-activation and activation is its own (samples,)
+    array. States share these columns, so none is written in place.
     """
 
-    det_pre_hidden: np.ndarray  # (samples, h)
-    hidden: np.ndarray  # (samples, h) = expit(det_pre_hidden)
+    pre_cols: tuple[np.ndarray, ...]  # h columns of det_pre_hidden
+    hidden_cols: tuple[np.ndarray, ...]  # h columns of expit(det_pre_hidden)
     det_pre_out: np.ndarray  # (samples,)
 
-    def copy(self) -> "EvalState":
-        return EvalState(
-            self.det_pre_hidden.copy(), self.hidden.copy(), self.det_pre_out.copy()
-        )
+    @property
+    def det_pre_hidden(self) -> np.ndarray:  # (samples, h), C order
+        return np.array(self.pre_cols).T.copy()
+
+    @property
+    def hidden(self) -> np.ndarray:  # (samples, h), C order
+        return np.array(self.hidden_cols).T.copy()
 
 
 class TrainEvaluator:
@@ -413,61 +418,58 @@ class TrainEvaluator:
         if flat.size:
             retract_input_gates(net, det_pre_hidden, self.features, flat)
         hidden = expit(det_pre_hidden)
-        return EvalState(det_pre_hidden, hidden, _det_pre_out(net, hidden))
+        # Independent columns: a view would keep the whole matrix alive.
+        return EvalState(
+            tuple(col.copy() for col in det_pre_hidden.T),
+            tuple(col.copy() for col in hidden.T),
+            _det_pre_out(net, hidden),
+        )
 
-    def _refresh_node(self, child: Network, state: EvalState, j: int) -> None:
-        """Recompute hidden column j and fold the change into det_pre_out."""
-        h_old = state.hidden[:, j].copy()
-        h_new = expit(state.det_pre_hidden[:, j])
-        state.hidden[:, j] = h_new
-        gate = child.output_gate(j)
-        w = float(child.w_out[j])
-        if gate.kind in (GateKind.INACTIVE, GateKind.DROP):
-            state.det_pre_out += w * (h_new - h_old)
+    @staticmethod
+    def _with_node(child: Network, parent: EvalState, j: int, pre_j) -> EvalState:
+        """The parent state with node j's pre-activation column set to pre_j
+        and the change carried through; the other columns are shared."""
+        h_old, h_new = parent.hidden_cols[j], expit(pre_j)
+        if int(child.gate_kind_out[j]) in (GateKind.INACTIVE, GateKind.DROP):
+            diff = h_new - h_old
         else:
-            state.det_pre_out += w * (
-                h_new * _eff_mask(gate, h_new) - h_old * _eff_mask(gate, h_old)
-            )
+            diff = h_new * _output_mask(child, j, h_new)
+            diff -= h_old * _output_mask(child, j, h_old)
+        return EvalState(
+            parent.pre_cols[:j] + (pre_j,) + parent.pre_cols[j + 1 :],
+            parent.hidden_cols[:j] + (h_new,) + parent.hidden_cols[j + 1 :],
+            parent.det_pre_out + float(child.w_out[j]) * diff,
+        )
 
     def child_state(
         self, parent_state: EvalState, child: Network, change: MutationRecord
     ) -> EvalState:
-        state = parent_state.copy()
-        X = self.features
+        """The child's state, built out of place: only the mutated node's
+        columns and det_pre_out are new arrays."""
+        pre, hidden = parent_state.pre_cols, parent_state.hidden_cols
+        j, i = change.j, change.i
         if isinstance(change, WeightChange):
             if change.kind == _FIELD_W_IN:
-                j, i = change.j, change.i
-                column = X[:, i]
-                state.det_pre_hidden[:, j] += (
-                    change.delta * column * _eff_mask(child.input_gate(j, i), column)
-                )
-                self._refresh_node(child, state, j)
-            elif change.kind == _FIELD_B_HIDDEN:
-                state.det_pre_hidden[:, change.j] += change.delta
-                self._refresh_node(child, state, change.j)
-            elif change.kind == _FIELD_W_OUT:
-                j = change.j
-                h = state.hidden[:, j]
-                state.det_pre_out += (
-                    change.delta * h * _eff_mask(child.output_gate(j), h)
-                )
+                column = self.features[:, i]
+                kind = int(child.gate_kind_in[j, i])
+                mask = _pass_mask(kind, child.gate_a_in[j, i], child.gate_b_in[j, i], column)
+                term = change.delta * column * mask
+                return self._with_node(child, parent_state, j, pre[j] + term)
+            if change.kind == _FIELD_B_HIDDEN:
+                return self._with_node(child, parent_state, j, pre[j] + change.delta)
+            if change.kind == _FIELD_W_OUT:
+                term = change.delta * hidden[j] * _output_mask(child, j, hidden[j])
             else:
-                state.det_pre_out += change.delta
-            return state
-        if not change.output_layer:
-            j, i = change.j, change.i
-            column = X[:, i]
-            w = float(child.w_in[j, i])
-            state.det_pre_hidden[:, j] += w * column * (
-                _eff_mask(change.new, column) - _eff_mask(change.old, column)
-            )
-            self._refresh_node(child, state, j)
-            return state
-        j = change.j
-        h = state.hidden[:, j]
-        w = float(child.w_out[j])
-        state.det_pre_out += w * h * (_eff_mask(change.new, h) - _eff_mask(change.old, h))
-        return state
+                term = change.delta
+            return EvalState(pre, hidden, parent_state.det_pre_out + term)
+        old, new, out = change.old, change.new, change.output_layer
+        values = hidden[j] if out else self.features[:, i]
+        term = float(child.w_out[j] if out else child.w_in[j, i]) * values * (
+            _pass_mask(new.kind, new.a, new.b, values) - _pass_mask(old.kind, old.a, old.b, values)
+        )
+        if out:
+            return EvalState(pre, hidden, parent_state.det_pre_out + term)
+        return self._with_node(child, parent_state, j, pre[j] + term)
 
     def score(
         self, net: Network, state: EvalState, rng: np.random.Generator | None = None
@@ -480,22 +482,24 @@ class TrainEvaluator:
         term may then be -0.0 where the select gave +0.0; adding either to
         a nonzero partial sum is exact and ``expit`` maps both zeros to the
         same value, so the score is bitwise that of the select."""
-        drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP.value)
-        drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP.value)
+        drop_in = (net.gate_kind_in.reshape(-1) == GateKind.DROP.value).nonzero()[0]
+        drop_out = (net.gate_kind_out == GateKind.DROP.value).nonzero()[0]
         if (drop_in.size or drop_out.size) and rng is None:
             raise ValueError("a DROP gate needs an rng to flip its coins")
-        hidden, pre_out = state.hidden, state.det_pre_out
+        hidden_cols, pre_out = state.hidden_cols, state.det_pre_out
         if drop_in.size:
             nodes, inputs = np.divmod(drop_in, net.n)
-            pre_hidden = state.det_pre_hidden.copy()
+            pre_hidden = state.det_pre_hidden  # a fresh C-ordered matrix
             blocked = rng.random((len(self.targets), drop_in.size)) < self.drop_prob
             w = net.w_in.reshape(-1)[drop_in]
             values = np.take(self.features, inputs, axis=1)
             retract_blocked(pre_hidden, values, w, blocked, nodes)
             hidden = expit(pre_hidden)
+            hidden_cols = hidden.T
             pre_out = _det_pre_out(net, hidden)
         if drop_out.size:
-            values = np.take(hidden, drop_out, axis=1)  # C order, as in predict
+            # C order, as np.take gives in predict
+            values = np.column_stack([hidden_cols[j] for j in drop_out])
             values *= net.w_out[drop_out]
             values *= rng.random(values.shape) < self.drop_prob
             pre_out = pre_out - values.sum(axis=1)

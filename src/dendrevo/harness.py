@@ -9,10 +9,12 @@ finished cell can be reloaded from disk instead of recomputed.
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
+from enum import Enum
 from itertools import combinations
 from multiprocessing import get_context
 from pathlib import Path
@@ -47,6 +49,9 @@ _VARIANT_CODE = {
 }
 
 _MASK64 = (1 << 64) - 1
+
+# Version of out/manifest.json; bump it when a cell file's format changes.
+MANIFEST_FORMAT = 1
 
 Logger = Callable[[str], None]
 ExperimentResult = dict[Variant, list[RunTrace]]
@@ -202,6 +207,61 @@ def _cell_paths(runs_dir: Path, variant: Variant, run: int) -> tuple[Path, Path]
     return runs_dir / f"{stem}.trace.csv", runs_dir / f"{stem}.dnet"
 
 
+class SpecMismatch(ValueError):
+    """An output directory holds cells of a different experiment."""
+
+
+def _spec_fields(spec: ExperimentSpec) -> dict[str, object]:
+    """Every ExperimentSpec and EvoConfig field as a JSON value; config
+    fields are keyed ``config.<name>``."""
+
+    def plain(value):
+        if isinstance(value, Enum):
+            return value.value
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value
+
+    flat = {f"config.{f.name}": plain(getattr(spec.config, f.name)) for f in fields(EvoConfig)}
+    for f in fields(ExperimentSpec):
+        if f.name != "config":
+            flat[f.name] = plain(getattr(spec, f.name))
+    return flat
+
+
+def _check_manifest(out_dir: Path, spec: ExperimentSpec) -> None:
+    """Write out_dir/manifest.json on first use; refuse a directory whose
+    manifest records a different spec, or that holds cells without one."""
+    path = out_dir / "manifest.json"
+    want = {"format": MANIFEST_FORMAT, "spec": _spec_fields(spec)}
+    if not path.exists():
+        if any((out_dir / "runs").glob("*.trace.csv")):
+            raise SpecMismatch(
+                f"{out_dir} holds cells but no manifest.json to match them to "
+                "this experiment; use a fresh --out"
+            )
+        # Written before any cell, so a torn write only leaves a manifest
+        # that the next run refuses as unreadable.
+        path.write_text(json.dumps(want, indent=2, sort_keys=True) + "\n")
+        return
+    try:
+        have = json.loads(path.read_text())
+        recorded = {"format": have["format"], **have["spec"]}
+    except (ValueError, KeyError, TypeError):
+        raise SpecMismatch(f"{path} is unreadable; use a fresh --out") from None
+    current = {"format": MANIFEST_FORMAT, **want["spec"]}
+    differing = [
+        f"{name} ({recorded.get(name)!r} -> {current.get(name)!r})"
+        for name in sorted(recorded.keys() | current.keys())
+        if recorded.get(name) != current.get(name)
+    ]
+    if differing:
+        raise SpecMismatch(
+            f"{out_dir} holds stale outputs of a different experiment; differing "
+            f"fields: {', '.join(differing)}. Use a fresh --out or remove it."
+        )
+
+
 def _load_cached_cell(
     runs_dir: Path, spec: ExperimentSpec, variant: Variant, run: int
 ) -> RunTrace | None:
@@ -256,7 +316,9 @@ def run_experiment(
 
     With an out_dir, each finished cell leaves a trace CSV and a genome
     file under out_dir/runs/; on a rerun those cells are loaded instead
-    of recomputed. workers > 1 spreads pending cells over processes;
+    of recomputed. out_dir/manifest.json records the spec, and a rerun
+    under a different spec raises :class:`SpecMismatch` naming the
+    differing fields. workers > 1 spreads pending cells over processes;
     results are identical either way because every cell is self-seeded.
     """
     if workers < 1:
@@ -265,6 +327,7 @@ def run_experiment(
     if out_dir is not None:
         runs_dir = Path(out_dir) / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)
+        _check_manifest(Path(out_dir), spec)
 
     done: dict[tuple[Variant, int], RunTrace] = {}
     pending: list[tuple[Variant, int]] = []

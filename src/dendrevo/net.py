@@ -118,7 +118,9 @@ class Network:
     Weights, biases and gate parameters live in dense arrays so mutation
     can index any parameter in O(1); sigmoid transfer at every node.
     Total weighted parameters: n*h + 2h + 1 (for n=1000, h=10: 10,021).
-    Gates exist on the n*h + h weighted connections only.
+    Gates exist on the n*h + h weighted connections only. Genomes in a
+    population share arrays, so once a genome is in one, none of its
+    arrays is written in place (see :mod:`dendrevo.evolve`).
     """
 
     __slots__ = (
@@ -200,18 +202,12 @@ class Network:
         )
 
     def input_gate(self, j: int, i: int) -> GateState:
-        return GateState(
-            GateKind(int(self.gate_kind_in[j, i])),
-            float(self.gate_a_in[j, i]),
-            float(self.gate_b_in[j, i]),
-        )
+        kind, a, b = self.gate_kind_in[j, i], self.gate_a_in[j, i], self.gate_b_in[j, i]
+        return GateState(GateKind(int(kind)), float(a), float(b))
 
     def output_gate(self, j: int) -> GateState:
-        return GateState(
-            GateKind(int(self.gate_kind_out[j])),
-            float(self.gate_a_out[j]),
-            float(self.gate_b_out[j]),
-        )
+        kind, a, b = self.gate_kind_out[j], self.gate_a_out[j], self.gate_b_out[j]
+        return GateState(GateKind(int(kind)), float(a), float(b))
 
     def set_input_gate(self, j: int, i: int, gate: GateState) -> None:
         self.gate_kind_in[j, i] = int(gate.kind)

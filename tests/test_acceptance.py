@@ -47,12 +47,12 @@ from dendrevo import (
     mse,
     predict,
     read_trace_rows,
-    replace,
     run_cell,
     run_experiment,
     welch_t_test,
 )
 from dendrevo.cli import main as cli_main
+from dendrevo.evolve import _replace_slot
 from dendrevo.harness import _cell_seeds
 
 GRID_SEED = 42
@@ -238,13 +238,13 @@ def test_criterion_03_mutation_and_replacement_properties():
         before = int(rng.integers(0, 10))
         after = int(rng.integers(0, 10))
         pop = [Individual(base, 0.5, before)]
-        replace(pop, Individual(base, 0.5, after), True, rng)
+        _replace_slot(pop, Individual(base, 0.5, after), True, rng)
         never_increased = never_increased and pop[0].active_gate_count <= before
     replaced = 0
     for _ in range(10_000):
         pop = [Individual(base, 0.5, 3)]
         offspring = Individual(base, 0.5, 3)
-        replace(pop, offspring, True, rng)
+        _replace_slot(pop, offspring, True, rng)
         replaced += pop[0] is offspring
     elapsed = time.perf_counter() - start
     ok = (

@@ -82,6 +82,21 @@ def test_run_is_reproducible_per_seed(tmp_path):
     assert trace != (other / "trace.csv").read_bytes()
 
 
+def test_resume_under_a_different_seed_is_refused(tmp_path, capsys):
+    out = tiny_run(tmp_path, "a")
+    trace = (out / "trace.csv").read_bytes()
+    capsys.readouterr()
+    rc = main(["run", *TINY, "--runs", "1", "--seed", "999", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "master_seed (3 -> 999)" in err
+    assert (out / "trace.csv").read_bytes() == trace
+    # The same spec still resumes from the cached cell.
+    assert main(["run", *TINY, "--runs", "1", "--seed", "3", "--out", str(out)]) == 0
+    assert "loaded variant=dendrite run=0" in capsys.readouterr().err
+    assert (out / "trace.csv").read_bytes() == trace
+
+
 def test_run_plot_flag_writes_chart(tmp_path):
     out = tiny_run(tmp_path, "a", "--plot")
     root = ET.parse(out / "trace.svg").getroot()

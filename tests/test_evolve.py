@@ -9,8 +9,8 @@ from dendrevo.evolve import (
     TrainEvaluator,
     Variant,
     WeightChange,
+    _replace_slot,
     describe_mutation,
-    replace,
     run_evolution,
     seed_population,
     tournament_select,
@@ -240,7 +240,7 @@ def test_replace_is_unconditional_without_tie():
     rng = np.random.default_rng(6)
     pop = [Individual(Network.zeros(2, 1), 0.1, 0) for _ in range(10)]
     worse = Individual(Network.zeros(2, 1), 0.9, 0)
-    replace(pop, worse, True, rng)
+    _replace_slot(pop, worse, True, rng)
     assert sum(member is worse for member in pop) == 1
 
 
@@ -254,13 +254,13 @@ def test_replace_parsimony_tie_prefers_fewer_gates():
     rng = np.random.default_rng(7)
     for _ in range(200):
         pop = [gated(2) for _ in range(5)]
-        replace(pop, gated(3), True, rng)
+        _replace_slot(pop, gated(3), True, rng)
         assert all(member.active_gate_count == 2 for member in pop)
 
     for _ in range(200):
         pop = [gated(2) for _ in range(5)]
         slim = gated(1)
-        replace(pop, slim, True, rng)
+        _replace_slot(pop, slim, True, rng)
         assert sum(member is slim for member in pop) == 1
 
     # equal gate counts: fair coin
@@ -268,7 +268,7 @@ def test_replace_parsimony_tie_prefers_fewer_gates():
     for _ in range(10_000):
         pop = [gated(2) for _ in range(5)]
         contender = gated(2)
-        replace(pop, contender, True, rng)
+        _replace_slot(pop, contender, True, rng)
         taken += any(member is contender for member in pop)
     assert abs(taken - 5000) < 200
 
@@ -279,7 +279,7 @@ def test_replace_without_parsimony_ignores_gate_counts():
     for _ in range(100):
         pop = [Individual(net, 0.25, 0) for _ in range(5)]
         bloated = Individual(net, 0.25, 7)
-        replace(pop, bloated, False, rng)
+        _replace_slot(pop, bloated, False, rng)
         assert any(member is bloated for member in pop)
 
 

@@ -1,0 +1,25 @@
+"""Golden fingerprint: a small seed-42 grid must keep its exact bytes.
+
+The grid covers all four variants with enough generations for every
+gate kind to appear, and runs in a few seconds. A refactor that moves a
+single bit of any cell's trace changes the digest. If a change of
+behaviour is intended, say so and why, and record the new digest here.
+"""
+
+import hashlib
+
+from dendrevo.cli import main
+
+GRID = [
+    "compare", "--variants", "standard,dendrite,range,dropout",
+    "--n", "40", "--k", "3", "--generations", "60", "--runs", "2", "--pop", "20",
+    "--train-size", "300", "--test-size", "300", "--seed", "42", "--workers", "1",
+]
+TRACE_SHA256 = "51f595da562ac2a83b8385a15b810e291f2869bd0383910f4ca4ac10caec3c9f"
+
+
+def test_small_grid_trace_matches_the_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.delenv("DENDREVO_SEED", raising=False)
+    assert main([*GRID, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == TRACE_SHA256

@@ -1,6 +1,8 @@
 """Experiment orchestration, persistence, and the statistics layer."""
 
+import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,8 @@ from dendrevo.harness import (
     welch_t_test,
     write_trace_csv,
 )
-from dendrevo.net import Network, ablate_output_gates, mse
-from dendrevo.nk import build_landscape, generate_dataset
+from dendrevo.net import Network, ablate_output_gates, mse, save_network
+from dendrevo.nk import Encoding, build_landscape, generate_dataset
 
 
 def tiny_spec(**overrides):
@@ -272,8 +274,51 @@ def test_run_experiment_rejects_mismatched_genome_cache(tmp_path):
     out = tmp_path / "exp"
     run_experiment(tiny_spec(), out_dir=out)
     wider = tiny_spec(config=EvoConfig(p=6, h=3, generations=3, seed=0))
-    with pytest.raises(ValueError, match="genome shape"):
+    with pytest.raises(ValueError, match=r"config\.h \(2 -> 3\)"):
         run_experiment(wider, out_dir=out)
+
+
+def test_cached_cell_with_a_foreign_genome_is_refused(tmp_path):
+    """The per-cell check still guards a cell file swapped in by hand."""
+    out = tmp_path / "exp"
+    spec = tiny_spec()
+    run_experiment(spec, out_dir=out)
+    save_network(Network.zeros(spec.n, 3), out / "runs" / "standard-run001.dnet")
+    with pytest.raises(ValueError, match="genome shape"):
+        run_experiment(spec, out_dir=out)
+
+
+def test_manifest_records_every_spec_field_and_refuses_other_specs(tmp_path):
+    out = tmp_path / "exp"
+    spec = tiny_spec()
+    run_experiment(spec, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["format"] == harness.MANIFEST_FORMAT
+    config_keys = {f"config.{f.name}" for f in fields(EvoConfig)}
+    spec_keys = {f.name for f in fields(ExperimentSpec)} - {"config"}
+    assert set(manifest["spec"]) == config_keys | spec_keys
+    assert manifest["spec"]["variants"] == ["standard", "dendrite"]
+    for changed in (
+        tiny_spec(master_seed=6),
+        tiny_spec(encoding=Encoding.CENTER_BAND),
+        tiny_spec(shared_landscape=True),
+        tiny_spec(config=EvoConfig(p=6, h=2, generations=3, seed=0, r=0.2)),
+    ):
+        with pytest.raises(harness.SpecMismatch, match="differing fields"):
+            run_experiment(changed, out_dir=out)
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+    run_experiment(spec, out_dir=out, workers=2)  # workers are not part of the spec
+
+
+def test_cells_without_a_manifest_are_refused(tmp_path):
+    out = tmp_path / "exp"
+    run_experiment(tiny_spec(), out_dir=out)
+    (out / "manifest.json").unlink()
+    with pytest.raises(harness.SpecMismatch, match="no manifest"):
+        run_experiment(tiny_spec(), out_dir=out)
+    (out / "manifest.json").write_text("{not json")
+    with pytest.raises(harness.SpecMismatch, match="unreadable"):
+        run_experiment(tiny_spec(), out_dir=out)
 
 
 def test_run_experiment_workers_match_sequential(tmp_path):

@@ -1,0 +1,286 @@
+"""Persistent genomes and evaluator states.
+
+A child genome shares every array its one-gene mutation does not write,
+and a child state shares every hidden column its mutation leaves alone.
+The oracle below keeps the earlier copy-based evaluator: whole (samples,
+h) matrices copied per child and updated in place. The column states
+must match it bit for bit, and no ancestor may change under its
+descendants.
+"""
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from dendrevo.evolve import (
+    EvalState,
+    EvoConfig,
+    TrainEvaluator,
+    Variant,
+    WeightChange,
+    _det_pre_out,
+    describe_mutation,
+    run_evolution,
+    seed_population,
+)
+from dendrevo.net import GateKind, GateState, Network, mse, retract_blocked
+from dendrevo.nk import Encoding, build_landscape, generate_dataset
+
+GATED = (Variant.DENDRITE_THRESHOLD, Variant.DENDRITE_RANGE, Variant.RANDOM_DROPOUT)
+
+
+@pytest.fixture(scope="module")
+def task():
+    land = build_landscape(12, 3, 100)
+    rng = np.random.default_rng(300)
+    train = generate_dataset(land, 64, Encoding.SIGN_SPLIT, rng)
+    test = generate_dataset(land, 32, Encoding.SIGN_SPLIT, rng)
+    return land, train, test
+
+
+# --- the copy-based oracle ---------------------------------------------------
+
+
+class OracleState:
+    def __init__(self, det_pre_hidden, hidden, det_pre_out):
+        self.det_pre_hidden = det_pre_hidden
+        self.hidden = hidden
+        self.det_pre_out = det_pre_out
+
+    def copy(self):
+        return OracleState(
+            self.det_pre_hidden.copy(), self.hidden.copy(), self.det_pre_out.copy()
+        )
+
+
+def oracle_eff_mask(gate, values):
+    if gate.kind is GateKind.LOWER:
+        passed = values >= gate.a
+    elif gate.kind is GateKind.UPPER:
+        passed = values <= gate.a
+    elif gate.kind is GateKind.RANGE:
+        passed = (values >= gate.a) & (values <= gate.b)
+    else:
+        return 1.0
+    return passed.astype(np.float64)
+
+
+def oracle_refresh_node(child, state, j):
+    h_old = state.hidden[:, j].copy()
+    h_new = expit(state.det_pre_hidden[:, j])
+    state.hidden[:, j] = h_new
+    gate = child.output_gate(j)
+    w = float(child.w_out[j])
+    if gate.kind in (GateKind.INACTIVE, GateKind.DROP):
+        state.det_pre_out += w * (h_new - h_old)
+    else:
+        state.det_pre_out += w * (
+            h_new * oracle_eff_mask(gate, h_new) - h_old * oracle_eff_mask(gate, h_old)
+        )
+
+
+def oracle_child_state(features, parent_state, child, change):
+    state = parent_state.copy()
+    if isinstance(change, WeightChange):
+        j, i = change.j, change.i
+        if change.kind == 0:
+            column = features[:, i]
+            state.det_pre_hidden[:, j] += (
+                change.delta * column * oracle_eff_mask(child.input_gate(j, i), column)
+            )
+            oracle_refresh_node(child, state, j)
+        elif change.kind == 1:
+            state.det_pre_hidden[:, j] += change.delta
+            oracle_refresh_node(child, state, j)
+        elif change.kind == 2:
+            h = state.hidden[:, j]
+            state.det_pre_out += change.delta * h * oracle_eff_mask(child.output_gate(j), h)
+        else:
+            state.det_pre_out += change.delta
+        return state
+    j = change.j
+    if not change.output_layer:
+        column = features[:, change.i]
+        w = float(child.w_in[j, change.i])
+        state.det_pre_hidden[:, j] += w * column * (
+            oracle_eff_mask(change.new, column) - oracle_eff_mask(change.old, column)
+        )
+        oracle_refresh_node(child, state, j)
+        return state
+    h = state.hidden[:, j]
+    w = float(child.w_out[j])
+    state.det_pre_out += w * h * (
+        oracle_eff_mask(change.new, h) - oracle_eff_mask(change.old, h)
+    )
+    return state
+
+
+def oracle_score(data, drop_prob, net, state, rng):
+    """The matrix-based score: a copied pre-activation matrix and an
+    ``np.take`` gather of the dropped output columns."""
+    drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP.value)
+    drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP.value)
+    hidden, pre_out = state.hidden, state.det_pre_out
+    if drop_in.size:
+        nodes, inputs = np.divmod(drop_in, net.n)
+        pre_hidden = state.det_pre_hidden.copy()
+        blocked = rng.random((len(data.targets), drop_in.size)) < drop_prob
+        w = net.w_in.reshape(-1)[drop_in]
+        values = np.take(data.features, inputs, axis=1)
+        retract_blocked(pre_hidden, values, w, blocked, nodes)
+        hidden = expit(pre_hidden)
+        pre_out = _det_pre_out(net, hidden)
+    if drop_out.size:
+        values = np.take(hidden, drop_out, axis=1)
+        values *= net.w_out[drop_out]
+        values *= rng.random(values.shape) < drop_prob
+        pre_out = pre_out - values.sum(axis=1)
+    err = expit(pre_out) - data.targets
+    return float(err @ err / err.shape[0])
+
+
+def as_oracle(state):
+    return OracleState(state.det_pre_hidden, state.hidden, state.det_pre_out.copy())
+
+
+def genome_bytes(net):
+    return tuple(
+        np.asarray(getattr(net, name)).tobytes() for name in Network.__slots__
+    )
+
+
+def state_bytes(state):
+    return (
+        tuple(col.tobytes() for col in state.pre_cols),
+        tuple(col.tobytes() for col in state.hidden_cols),
+        state.det_pre_out.tobytes(),
+    )
+
+
+# --- tests ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_column_states_are_bitwise_the_copy_based_oracle(task, variant):
+    """A small population of lineages: each step mutates a random member,
+    so children of old and new states alike are checked."""
+    _, train, _ = task
+    cfg = EvoConfig(variant=variant, p=5)
+    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    rng = np.random.default_rng(60)
+    pop = []
+    for member in seed_population(cfg, train.n, train, rng):
+        if variant is Variant.RANDOM_DROPOUT:
+            # 8 or more dropped terms in one output sum fix its layout
+            for j in range(cfg.h):
+                member.network.set_output_gate(j, GateState.drop())
+        state = evaluator.full_state(member.network)
+        pop.append((member.network, state, as_oracle(state)))
+    gate_changes = 0
+    for step in range(400):
+        net, state, oracle = pop[int(rng.integers(0, len(pop)))]
+        child, change = describe_mutation(net, cfg, rng)
+        gate_changes += not isinstance(change, WeightChange)
+        child_state = evaluator.child_state(state, child, change)
+        child_oracle = oracle_child_state(train.features, oracle, child, change)
+        assert child_state.det_pre_hidden.tobytes() == child_oracle.det_pre_hidden.tobytes()
+        assert child_state.hidden.tobytes() == child_oracle.hidden.tobytes()
+        assert child_state.det_pre_out.tobytes() == child_oracle.det_pre_out.tobytes()
+        got = evaluator.score(child, child_state, np.random.default_rng(step))
+        want = oracle_score(
+            train, cfg.drop_prob, child, child_oracle, np.random.default_rng(step)
+        )
+        assert got == want
+        pop[int(rng.integers(0, len(pop)))] = (child, child_state, child_oracle)
+    if variant is not Variant.STANDARD:
+        assert gate_changes > 100
+
+
+def test_state_matrices_are_c_ordered_rebuilds_of_the_columns(task):
+    _, train, _ = task
+    cfg = EvoConfig(variant=Variant.DENDRITE_RANGE)
+    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    net = seed_population(cfg, train.n, train, np.random.default_rng(61))[0].network
+    state = evaluator.full_state(net)
+    assert len(state.pre_cols) == len(state.hidden_cols) == net.h
+    for matrix, cols in ((state.det_pre_hidden, state.pre_cols), (state.hidden, state.hidden_cols)):
+        assert matrix.shape == (len(train), net.h)
+        assert matrix.flags.c_contiguous
+        for j, col in enumerate(cols):
+            assert col.flags.c_contiguous and col.base is None  # owns its data
+            assert col.tobytes() == matrix[:, j].tobytes()
+    assert not hasattr(EvalState, "copy")
+
+
+@pytest.mark.parametrize("variant", GATED)
+def test_descendants_never_change_their_ancestors(task, variant):
+    _, train, _ = task
+    cfg = EvoConfig(variant=variant)
+    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    rng = np.random.default_rng(62)
+    net = seed_population(cfg, train.n, train, rng)[0].network
+    state = evaluator.full_state(net)
+    chain = [(net, state, genome_bytes(net), state_bytes(state))]
+    for _ in range(300):
+        net, change = describe_mutation(net, cfg, rng)
+        state = evaluator.child_state(state, net, change)
+        chain.append((net, state, genome_bytes(net), state_bytes(state)))
+    for net, state, genome, columns in chain:
+        assert genome_bytes(net) == genome
+        assert state_bytes(state) == columns
+
+
+def test_children_share_what_their_mutation_does_not_write(task):
+    _, train, _ = task
+    cfg = EvoConfig(variant=Variant.DENDRITE_THRESHOLD)
+    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    rng = np.random.default_rng(63)
+    parent = seed_population(cfg, train.n, train, rng)[0].network
+    parent_state = evaluator.full_state(parent)
+    for _ in range(200):
+        child, change = describe_mutation(parent, cfg, rng)
+        written = {
+            name
+            for name in Network.__slots__
+            if name != "b_out" and getattr(child, name) is not getattr(parent, name)
+        }
+        if isinstance(change, WeightChange):
+            assert written == [{"w_in"}, {"b_hidden"}, {"w_out"}, set()][change.kind]
+        elif change.output_layer:
+            assert written == {"gate_kind_out", "gate_a_out", "gate_b_out"}
+        else:
+            assert written == {"gate_kind_in", "gate_a_in", "gate_b_in"}
+        state = evaluator.child_state(parent_state, child, change)
+        new_cols = {
+            j
+            for j in range(parent.h)
+            if state.pre_cols[j] is not parent_state.pre_cols[j]
+            or state.hidden_cols[j] is not parent_state.hidden_cols[j]
+        }
+        hidden_node = isinstance(change, WeightChange) and change.kind in (0, 1)
+        hidden_node |= not isinstance(change, WeightChange) and not change.output_layer
+        assert new_cols == ({change.j} if hidden_node else set())
+
+
+def test_the_step_loop_never_deep_copies_a_genome(task, monkeypatch):
+    land, train, test = task
+
+    def refuse(self):
+        raise AssertionError("Network.copy called in the step loop")
+
+    monkeypatch.setattr(Network, "copy", refuse)
+    for variant in Variant:
+        cfg = EvoConfig(variant=variant, generations=2, p=8, seed=64)
+        trace = run_evolution(cfg, land, train, test)
+        assert len(trace.records) == 3
+
+
+@pytest.mark.parametrize(
+    "variant", [Variant.STANDARD, Variant.DENDRITE_THRESHOLD, Variant.DENDRITE_RANGE]
+)
+def test_incremental_fitness_does_not_drift_from_the_direct_pass(task, variant):
+    land, train, test = task
+    cfg = EvoConfig(variant=variant, generations=40, p=10, seed=65)
+    trace = run_evolution(cfg, land, train, test)
+    drift = abs(trace.records[-1].best_train_mse - mse(trace.final_network, train))
+    assert drift <= 1e-12
