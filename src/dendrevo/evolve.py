@@ -570,15 +570,17 @@ def run_evolution(
     Training fitness is maintained by the incremental evaluator; test
     error is measured by the direct forward pass on the generation's
     best member. The landscape is only consulted when per-generation
-    training-set resampling is enabled; pass None otherwise if it has
-    been dropped.
+    training-set resampling is enabled, and that run draws its table once
+    and holds it; pass None otherwise if it has been dropped.
     """
     if train.n != test.n:
         raise ValueError(f"train n={train.n} and test n={test.n} disagree")
     if landscape is not None and landscape.n != train.n:
         raise ValueError(f"landscape n={landscape.n} does not match data n={train.n}")
-    if config.resample_train_each_generation and landscape is None:
-        raise ValueError("training-set resampling needs the landscape")
+    if config.resample_train_each_generation:
+        if landscape is None:
+            raise ValueError("training-set resampling needs the landscape")
+        landscape = landscape.dense()
     if rng is None:
         rng = np.random.default_rng(config.seed)
 

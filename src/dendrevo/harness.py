@@ -25,7 +25,7 @@ from scipy.special import betainc
 
 from .evolve import EvoConfig, RunTrace, TraceRecord, Variant, run_evolution
 from .net import ablate_output_gates, load_network, mse, save_network
-from .nk import Encoding, build_landscape, generate_dataset
+from .nk import Encoding, build_landscape, generate_dataset, generate_datasets
 
 TRACE_HEADER = (
     "variant,run,generation,best_train_mse,best_test_mse,"
@@ -118,11 +118,11 @@ def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
     """Execute one (variant, run) cell of the grid."""
     land_seed, train_seed, test_seed, evolve_seed = _cell_seeds(spec, variant, run)
     landscape = build_landscape(spec.n, spec.k, land_seed)
-    train = generate_dataset(
-        landscape, spec.train_size, spec.encoding, np.random.default_rng(train_seed)
-    )
-    test = generate_dataset(
-        landscape, spec.test_size, spec.encoding, np.random.default_rng(test_seed)
+    train, test = generate_datasets(
+        landscape,
+        spec.encoding,
+        (spec.train_size, np.random.default_rng(train_seed)),
+        (spec.test_size, np.random.default_rng(test_seed)),
     )
     config = dc_replace(spec.config, variant=variant, seed=evolve_seed)
     return run_evolution(

@@ -11,11 +11,15 @@ genomes become feature vectors, their fitnesses become targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
+
+# Table entries drawn per block: 1 MiB of float64 stays in a typical L2
+# cache while it is gathered, and at k <= 9, n <= 100 the table is one block.
+BLOCK_ENTRIES = 2**17
 
 
 class Encoding(Enum):
@@ -37,34 +41,48 @@ class NKLandscape:
     """A seeded epistatic fitness function over length-``n`` binary genomes.
 
     ``neighbors[i]`` lists the k other genes that modulate gene i's
-    contribution; ``tables[i]`` holds its 2^(k+1) contribution values.
+    contribution; row i of ``tables`` holds its 2^(k+1) contribution values.
     Reconstructing from (seed, n, k) yields an identical landscape.
-    For k=15 each table has 65536 entries, so a landscape at n=1000
-    occupies roughly half a gigabyte; drop the reference once datasets
-    have been generated if memory is tight.
+    The table is not held: ``table_state`` is the generator state at which
+    its draws begin, and evaluation draws it again in ``BLOCK_ENTRIES``
+    blocks, so at n=1000, k=15 a landscape holds 125 KB of neighbor lists,
+    not a 500 MiB table. ``dense()`` holds it, for callers that evaluate often.
     """
 
     n: int
     k: int
     seed: int
     neighbors: np.ndarray  # (n, k) int64, row i excludes i, entries distinct
-    tables: np.ndarray  # (n, 2^(k+1)) float64 in [0, 1)
+    table_state: dict  # PCG64 state at the first table draw
+    held_table: np.ndarray | None = field(default=None, repr=False)
 
-    def table_index(self, bits: np.ndarray, gene: int) -> int:
-        """Row into ``tables[gene]``: own bit in the lowest position,
-        neighbor bits above it in stored neighbor-list order."""
-        idx = int(bits[gene])
-        for m, j in enumerate(self.neighbors[gene]):
-            idx |= int(bits[j]) << (m + 1)
-        return idx
+    @property
+    def tables(self) -> np.ndarray:
+        """The (n, 2^(k+1)) table in [0, 1), drawn anew per access unless held."""
+        if self.held_table is not None:
+            return self.held_table
+        return self._generator().random((self.n, 2 ** (self.k + 1)))
 
+    def dense(self) -> NKLandscape:
+        """This landscape with its table drawn once and held."""
+        return self if self.held_table is not None else replace(self, held_table=self.tables)
 
-@dataclass(frozen=True)
-class Sample:
-    """One regression example: encoded features plus the genome's fitness."""
+    def _generator(self) -> np.random.Generator:
+        bit_generator = np.random.PCG64()
+        bit_generator.state = self.table_state
+        return np.random.Generator(bit_generator)
 
-    features: np.ndarray  # (n,) float64 in [-1, 1]
-    target: float  # in [0, 1]
+    def _blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first gene, its rows of the table) in gene order. PCG64 fills
+        arrays in C order, so consecutive blocks are the bulk draw bit for
+        bit. Blocks share one buffer: use each before drawing the next."""
+        if self.held_table is not None:
+            return iter([(0, self.held_table)])
+        width = 2 ** (self.k + 1)
+        buffer = np.empty((max(1, BLOCK_ENTRIES // width), width))
+        generator = self._generator()
+        starts = range(0, self.n, len(buffer))
+        return ((i, generator.random(out=buffer[: self.n - i])) for i in starts)
 
 
 @dataclass(frozen=True)
@@ -72,8 +90,7 @@ class Dataset:
     """A batch of samples drawn from one landscape.
 
     Features are stored as one (size, n) matrix and targets as a (size,)
-    vector so evaluation code can stay vectorized; ``samples`` exposes the
-    per-example view.
+    vector so evaluation code can stay vectorized.
     """
 
     features: np.ndarray  # (size, n) float64
@@ -95,20 +112,14 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        return tuple(
-            Sample(self.features[i], float(self.targets[i])) for i in range(len(self))
-        )
-
 
 def build_landscape(n: int, k: int, seed: int) -> NKLandscape:
     """Construct a seeded NK landscape.
 
     Each gene's k neighbors are drawn uniformly without replacement from
     the other n-1 genes; table entries are uniform on [0, 1). The rng
-    consumption order (all neighbor lists first, then one bulk table draw)
-    is fixed so (seed, n, k) always reproduces the same landscape.
+    consumption order (all neighbor lists first, then the table in gene
+    order) is fixed so (seed, n, k) always reproduces the same landscape.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
@@ -120,36 +131,41 @@ def build_landscape(n: int, k: int, seed: int) -> NKLandscape:
     for i in range(n):
         others = np.delete(genes, i)
         neighbors[i] = rng.choice(others, size=k, replace=False)
-    tables = rng.random((n, 2 ** (k + 1)))
-    return NKLandscape(n=n, k=k, seed=seed, neighbors=neighbors, tables=tables)
+    return NKLandscape(n, k, seed, neighbors, table_state=rng.bit_generator.state)
 
 
 def _table_rows(landscape: NKLandscape, bits: np.ndarray) -> np.ndarray:
-    """Table row index per gene for a (batch, n) bit matrix."""
-    rows = bits.astype(np.int64, copy=True)
+    """Gene-major (n, batch) table row indices for a (batch, n) bit matrix:
+    own bit lowest, neighbor bits above it in neighbor-list order."""
+    genes = np.ascontiguousarray(bits.T, dtype=np.uint8)
+    if genes.max(initial=0) > 1:
+        raise ValueError("genomes must hold only 0 and 1")
+    rows = genes.astype(np.int64)
     for m in range(landscape.k):
-        rows += bits[:, landscape.neighbors[:, m]].astype(np.int64) << (m + 1)
+        rows += genes[landscape.neighbors[:, m]] << np.int64(m + 1)
     return rows
 
 
 def evaluate_genomes(landscape: NKLandscape, bits: np.ndarray) -> np.ndarray:
-    """Fitness of each row of a (batch, n) binary matrix."""
+    """Fitness of each row of a (batch, n) binary matrix.
+
+    Each gene block's table rows are gathered while the block is in
+    cache; a row's fitness does not depend on the other rows.
+    """
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != landscape.n:
         raise ValueError(
             f"genome matrix must be (batch, {landscape.n}), got {bits.shape}"
         )
     rows = _table_rows(landscape, bits)
-    contrib = landscape.tables[np.arange(landscape.n)[None, :], rows]
-    return contrib.sum(axis=1) / landscape.n
-
-
-def evaluate_genome(landscape: NKLandscape, bits: np.ndarray) -> float:
-    """Fitness of one binary genome: mean of per-gene table contributions."""
-    bits = np.asarray(bits)
-    if bits.shape != (landscape.n,):
-        raise ValueError(f"genome must have length {landscape.n}, got {bits.shape}")
-    return float(evaluate_genomes(landscape, bits[None, :])[0])
+    contrib = np.empty(rows.shape)  # gene-major, like rows
+    for start, block in landscape._blocks():
+        genes = slice(start, start + len(block))
+        rows[genes] += np.arange(0, block.size, block.shape[1])[:, None]
+        # Indices are in range, so "wrap" only spares the copy "raise" buffers.
+        np.take(block.reshape(-1), rows[genes], out=contrib[genes], mode="wrap")
+    del rows
+    return np.ascontiguousarray(contrib.T).sum(axis=1) / landscape.n
 
 
 def _encode_bits(bits: np.ndarray, encoding: Encoding, rng: np.random.Generator) -> np.ndarray:
@@ -168,41 +184,25 @@ def _encode_bits(bits: np.ndarray, encoding: Encoding, rng: np.random.Generator)
     return np.where(bits == 1, u - 0.5, outer)
 
 
-def encode_features(
-    bits: np.ndarray, encoding: Encoding, rng: np.random.Generator
-) -> np.ndarray:
-    """Encode one binary genome into a real feature vector."""
-    bits = np.asarray(bits)
-    return _encode_bits(bits[None, :], encoding, rng)[0]
+def generate_datasets(
+    landscape: NKLandscape, encoding: Encoding, *draws: tuple[int, np.random.Generator]
+) -> list[Dataset]:
+    """One dataset per (size, rng): ``size`` uniform genomes, then their
+    encoded features, drawn from that rng in turn. The targets of all the
+    datasets come from one pass over the landscape's table."""
+    sizes = [size for size, _ in draws]
+    if any(size < 1 for size in sizes):
+        raise ValueError(f"dataset sizes must be >= 1, got {sizes}")
+    genomes, features = [], []
+    for size, rng in draws:
+        genomes.append(rng.integers(0, 2, size=(size, landscape.n), dtype=np.uint8))
+        features.append(_encode_bits(genomes[-1], encoding, rng))
+    targets = np.split(evaluate_genomes(landscape, np.concatenate(genomes)), np.cumsum(sizes)[:-1])
+    return [Dataset(f, t, encoding) for f, t in zip(features, targets)]
 
 
 def generate_dataset(
-    landscape: NKLandscape,
-    size: int,
-    encoding: Encoding,
-    rng: np.random.Generator,
+    landscape: NKLandscape, size: int, encoding: Encoding, rng: np.random.Generator
 ) -> Dataset:
     """Draw ``size`` uniform genomes, encode them, pair with their fitness."""
-    if size < 1:
-        raise ValueError(f"dataset size must be >= 1, got {size}")
-    bits = rng.integers(0, 2, size=(size, landscape.n), dtype=np.uint8)
-    targets = evaluate_genomes(landscape, bits)
-    features = _encode_bits(bits, encoding, rng)
-    return Dataset(features=features, targets=targets, encoding=encoding)
-
-
-def save_landscape(landscape: NKLandscape, path: str | Path) -> None:
-    """Write the textual landscape export.
-
-    Header ``NKL 1 <n> <k> <seed>``, then one line per gene: the gene
-    index, its neighbor indices, a ``|`` separator, and the 2^(k+1) table
-    values in row order at 17 significant digits.
-    """
-    lines = [f"NKL 1 {landscape.n} {landscape.k} {landscape.seed}"]
-    for i in range(landscape.n):
-        tokens = [str(i)]
-        tokens.extend(str(j) for j in landscape.neighbors[i])
-        tokens.append("|")
-        tokens.extend(f"{v:.17g}" for v in landscape.tables[i])
-        lines.append(" ".join(tokens))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return generate_datasets(landscape, encoding, (size, rng))[0]

@@ -1,20 +1,59 @@
 """Landscape construction, exhaustive fitness properties, and encodings."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dendrevo
+from dendrevo import nk
 from dendrevo.nk import (
     Dataset,
     Encoding,
     build_landscape,
-    encode_features,
-    evaluate_genome,
     evaluate_genomes,
     generate_dataset,
-    save_landscape,
+    generate_datasets,
 )
+
+
+def table_index(land, bits: np.ndarray, gene: int) -> int:
+    """Row into ``tables[gene]``: own bit in the lowest position,
+    neighbor bits above it in stored neighbor-list order."""
+    idx = int(bits[gene])
+    for m, j in enumerate(land.neighbors[gene]):
+        idx |= int(bits[j]) << (m + 1)
+    return idx
+
+
+def bulk_landscape(n: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbors and table as a bulk build draws them: every neighbor
+    list, then the whole table in one call."""
+    rng = np.random.default_rng(seed)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    genes = np.arange(n)
+    for i in range(n):
+        neighbors[i] = rng.choice(np.delete(genes, i), size=k, replace=False)
+    return neighbors, rng.random((n, 2 ** (k + 1)))
+
+
+def dense_fitness(neighbors: np.ndarray, tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Fitness by one gather from the whole table, genome-major."""
+    n, k = neighbors.shape
+    rows = bits.astype(np.int64, copy=True)
+    for m in range(k):
+        rows += bits[:, neighbors[:, m]].astype(np.int64) << (m + 1)
+    return tables[np.arange(n)[None, :], rows].sum(axis=1) / n
+
+
+def dataset_genomes(size: int, n: int, seed: int) -> np.ndarray:
+    """The genomes a dataset drawn from ``default_rng(seed)`` encodes: its
+    generator's first draw."""
+    return np.random.default_rng(seed).integers(0, 2, size=(size, n), dtype=np.uint8)
 
 
 def test_build_landscape_shapes_and_ranges():
@@ -52,37 +91,43 @@ def test_build_landscape_rejects_bad_parameters():
 
 
 def test_table_index_packs_own_bit_lowest():
+    """The oracle's packing, written out by hand, is the one evaluation uses."""
     land = build_landscape(4, 2, 7)
     bits = np.array([1, 0, 1, 1], dtype=np.uint8)
+    rows = nk._table_rows(land, bits[None, :])
     for gene in range(4):
         expected = int(bits[gene])
         for m, neighbor in enumerate(land.neighbors[gene]):
             expected |= int(bits[neighbor]) << (m + 1)
-        assert land.table_index(bits, gene) == expected
+        assert table_index(land, bits, gene) == expected
+        assert rows[gene, 0] == expected
 
 
 def test_evaluate_genome_matches_scalar_table_walk():
     """Vectorized fitness agrees with a per-gene lookup loop."""
     land = build_landscape(9, 3, 21)
+    tables = land.tables
     rng = np.random.default_rng(0)
     for _ in range(25):
         bits = rng.integers(0, 2, size=9, dtype=np.uint8)
-        looked_up = [
-            land.tables[g][land.table_index(bits, g)] for g in range(land.n)
-        ]
+        looked_up = [tables[g][table_index(land, bits, g)] for g in range(land.n)]
         expected = sum(looked_up) / land.n
-        got = evaluate_genome(land, bits)
+        got = evaluate_genomes(land, bits[None, :])[0]
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
         assert 0.0 <= got <= 1.0
 
 
-def test_evaluate_genomes_matches_single_evaluation():
+def test_evaluate_genomes_matches_single_evaluation(monkeypatch):
+    """A batch row equals that row evaluated alone, under the module's block
+    size and under blocks of three genes, the last one partial."""
     land = build_landscape(8, 2, 3)
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=(40, 8), dtype=np.uint8)
-    batch = evaluate_genomes(land, bits)
-    singles = np.array([evaluate_genome(land, row) for row in bits])
-    assert np.array_equal(batch, singles)
+    for block_entries in (nk.BLOCK_ENTRIES, 3 * 2**3):
+        monkeypatch.setattr(nk, "BLOCK_ENTRIES", block_entries)
+        batch = evaluate_genomes(land, bits)
+        singles = np.array([evaluate_genomes(land, row[None, :])[0] for row in bits])
+        assert batch.tobytes() == singles.tobytes()
 
 
 def test_evaluate_genomes_validates_shape():
@@ -90,7 +135,9 @@ def test_evaluate_genomes_validates_shape():
     with pytest.raises(ValueError):
         evaluate_genomes(land, np.zeros((3, 5), dtype=np.uint8))
     with pytest.raises(ValueError):
-        evaluate_genome(land, np.zeros(7, dtype=np.uint8))
+        evaluate_genomes(land, np.zeros(6, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        evaluate_genomes(land, np.full((2, 6), 2))
 
 
 def test_exhaustive_fitness_stays_in_unit_interval():
@@ -113,11 +160,12 @@ def test_k0_flip_effect_is_background_independent():
     equality is literal rather than within a float tolerance.
     """
     land = build_landscape(10, 0, 13)
+    tables = land.tables
     rng = np.random.default_rng(4)
 
     def exact_fitness(bits):
         total = sum(
-            Fraction(land.tables[g][land.table_index(bits, g)]) for g in range(land.n)
+            Fraction(tables[g][table_index(land, bits, g)]) for g in range(land.n)
         )
         return total / land.n
 
@@ -134,31 +182,32 @@ def test_k0_flip_effect_is_background_independent():
 
 def test_k0_float_engine_tracks_exact_arithmetic():
     land = build_landscape(10, 0, 13)
+    tables = land.tables
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=land.n, dtype=np.uint8)
     exact = sum(
-        Fraction(land.tables[g][land.table_index(bits, g)]) for g in range(land.n)
+        Fraction(tables[g][table_index(land, bits, g)]) for g in range(land.n)
     ) / land.n
-    assert evaluate_genome(land, bits) == pytest.approx(float(exact), abs=1e-12)
+    got = evaluate_genomes(land, bits[None, :])[0]
+    assert got == pytest.approx(float(exact), abs=1e-12)
 
 
 def test_sign_split_encoding_keeps_bit_in_sign():
-    rng = np.random.default_rng(11)
-    bits = rng.integers(0, 2, size=500, dtype=np.uint8)
-    feats = encode_features(bits, Encoding.SIGN_SPLIT, np.random.default_rng(2))
-    assert feats.shape == (500,)
-    ones = feats[bits == 1]
-    zeros = feats[bits == 0]
+    land = build_landscape(125, 1, 11)
+    data = generate_dataset(land, 4, Encoding.SIGN_SPLIT, np.random.default_rng(2))
+    bits = dataset_genomes(4, 125, 2)
+    ones = data.features[bits == 1]
+    zeros = data.features[bits == 0]
     assert np.all(ones >= 0.0) and np.all(ones < 1.0)
     assert np.all(zeros >= -1.0) and np.all(zeros < 0.0)
 
 
 def test_center_band_encoding_separates_by_magnitude():
-    rng = np.random.default_rng(12)
-    bits = rng.integers(0, 2, size=2000, dtype=np.uint8)
-    feats = encode_features(bits, Encoding.CENTER_BAND, np.random.default_rng(3))
-    ones = feats[bits == 1]
-    zeros = feats[bits == 0]
+    land = build_landscape(100, 1, 12)
+    data = generate_dataset(land, 20, Encoding.CENTER_BAND, np.random.default_rng(3))
+    bits = dataset_genomes(20, 100, 3)
+    ones = data.features[bits == 1]
+    zeros = data.features[bits == 0]
     assert np.all(np.abs(ones) <= 0.5)
     assert np.all(np.abs(zeros) >= 0.5) and np.all(np.abs(zeros) <= 1.0)
     # zero genes must use both outer bands, not just one side
@@ -166,11 +215,12 @@ def test_center_band_encoding_separates_by_magnitude():
 
 
 def test_encoding_is_reproducible_per_rng_seed():
-    bits = np.ones(64, dtype=np.uint8)
+    land = build_landscape(64, 2, 1)
     for enc in Encoding:
-        a = encode_features(bits, enc, np.random.default_rng(9))
-        b = encode_features(bits, enc, np.random.default_rng(9))
-        assert np.array_equal(a, b)
+        a = generate_dataset(land, 3, enc, np.random.default_rng(9))
+        b = generate_dataset(land, 3, enc, np.random.default_rng(9))
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.targets, b.targets)
 
 
 def test_generate_dataset_targets_match_recovered_bits():
@@ -190,11 +240,11 @@ def test_generate_dataset_shapes_and_validation():
     assert data.features.shape == (12, 7)
     assert data.targets.shape == (12,)
     assert data.encoding is Encoding.CENTER_BAND
-    sample = data.samples[3]
-    assert np.array_equal(sample.features, data.features[3])
-    assert sample.target == data.targets[3]
     with pytest.raises(ValueError):
         generate_dataset(land, 0, Encoding.SIGN_SPLIT, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        generate_datasets(land, Encoding.SIGN_SPLIT, (5, rng), (0, rng))
 
 
 def test_dataset_rejects_mismatched_arrays():
@@ -206,17 +256,82 @@ def test_dataset_rejects_mismatched_arrays():
         )
 
 
-def test_save_landscape_round_trips_through_text(tmp_path):
-    land = build_landscape(5, 2, 17)
-    path = tmp_path / "landscape.nkl"
-    save_landscape(land, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "NKL 1 5 2 17"
-    assert len(lines) == 1 + land.n
-    for i, line in enumerate(lines[1:]):
-        head, _, tail = line.partition(" | ")
-        tokens = head.split()
-        assert int(tokens[0]) == i
-        assert [int(t) for t in tokens[1:]] == land.neighbors[i].tolist()
-        values = np.array([float(t) for t in tail.split()])
-        assert np.array_equal(values, land.tables[i])
+# n is not a multiple of the genes in a module-sized block (65536, 16384,
+# 128 and 2 genes at these k), so the last block is partial wherever
+# there are several.
+STREAM_CASES = [(0, 11), (2, 11), (9, 131), (15, 17)]
+
+
+@pytest.mark.parametrize("k,n", STREAM_CASES)
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_streamed_targets_are_byte_equal_to_the_bulk_table(k, n, encoding, monkeypatch):
+    neighbors, tables = bulk_landscape(n, k, seed=n + k)
+    bits = dataset_genomes(30, n, seed=4)
+    expected = dense_fitness(neighbors, tables, bits).tobytes()
+    land = build_landscape(n, k, seed=n + k)
+    assert np.array_equal(land.neighbors, neighbors)
+    assert land.tables.tobytes() == tables.tobytes()
+    held = generate_dataset(land.dense(), 30, encoding, np.random.default_rng(4))
+    assert held.targets.tobytes() == expected
+    # The module's block size, then three genes a block with the last one
+    # partial, so k=0 and k=2 cross block boundaries too.
+    for block_entries in (nk.BLOCK_ENTRIES, 3 * 2 ** (k + 1)):
+        monkeypatch.setattr(nk, "BLOCK_ENTRIES", block_entries)
+        data = generate_dataset(land, 30, encoding, np.random.default_rng(4))
+        assert data.targets.tobytes() == expected
+
+
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_generate_datasets_equals_successive_generate_dataset_calls(encoding):
+    land = build_landscape(23, 9, 8)
+    sizes = (40, 7)
+
+    def fingerprint(datasets, rngs):
+        return (
+            [(d.features.tobytes(), d.targets.tobytes()) for d in datasets],
+            [rng.random() for rng in rngs],
+        )
+
+    # Distinct generators, one per dataset.
+    rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    joint = generate_datasets(land, encoding, *zip(sizes, rngs))
+    expected_rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    apart = [generate_dataset(land, s, encoding, r) for s, r in zip(sizes, expected_rngs)]
+    assert fingerprint(joint, rngs) == fingerprint(apart, expected_rngs)
+    # One generator shared by both datasets.
+    shared = np.random.default_rng(3)
+    joint = generate_datasets(land, encoding, *((s, shared) for s in sizes))
+    expected_shared = np.random.default_rng(3)
+    apart = [generate_dataset(land, s, encoding, expected_shared) for s in sizes]
+    assert fingerprint(joint, [shared]) == fingerprint(apart, [expected_shared])
+
+
+MEMORY_CHILD = """
+import resource
+import numpy as np
+from dendrevo.nk import Encoding, build_landscape, generate_dataset
+land = build_landscape(1000, 15, 42)
+data = [
+    generate_dataset(land, 1000, Encoding.SIGN_SPLIT, np.random.default_rng(seed))
+    for seed in (1, 2)
+]
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_full_scale_setup_never_holds_the_table():
+    """A full-scale cell's landscape and datasets fit in 256 MiB; the
+    n=1000, k=15 table alone is 500 MiB. Measured in a child process, so
+    no earlier test's allocations count."""
+    # Lead the child's PYTHONPATH with the absolute directory holding the
+    # imported package, so it runs the same source tree as this process.
+    env = os.environ.copy()
+    root = str(Path(dendrevo.__file__).resolve().parent.parent)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
+    result = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    peak_mib = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mib < 256, f"full-scale set-up peaked at {peak_mib:.0f} MiB"
