@@ -32,6 +32,7 @@ from scipy.special import expit
 
 from .net import (
     DEFAULT_DROP_PROB,
+    DROP, INACTIVE, LOWER, RANGE, UPPER,
     GateKind,
     GateState,
     Individual,
@@ -140,7 +141,8 @@ def seed_population(
     train: Dataset,
     rng: np.random.Generator,
 ) -> Population:
-    """P networks with weights and biases uniform in [-1, 1], gates inactive."""
+    """P networks with weights and biases uniform in [-1, 1], gates inactive,
+    unpriced (fitness inf): :func:`run_evolution` prices them all at once."""
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
     pop: Population = []
@@ -150,15 +152,15 @@ def seed_population(
         net.b_hidden[:] = rng.uniform(-1.0, 1.0, size=config.h)
         net.w_out[:] = rng.uniform(-1.0, 1.0, size=config.h)
         net.b_out = float(rng.uniform(-1.0, 1.0))
-        pop.append(Individual(net, mse(net, train), 0))
+        pop.append(Individual(net, float("inf"), 0))
     return pop
 
 
 def tournament_select(pop: Population, rng: np.random.Generator) -> int:
     """Binary tournament: two uniform draws with replacement, lower
-    training error wins, exact tie decided by a fair coin."""
-    a, b = rng.integers(0, len(pop), size=2)
-    a, b = int(a), int(b)
+    training error wins, exact tie decided by a fair coin. Two scalar draws
+    give the pair one ``size=2`` draw gives, at half its cost."""
+    a, b = int(rng.integers(0, len(pop))), int(rng.integers(0, len(pop)))
     fa, fb = pop[a].fitness, pop[b].fitness
     if fa < fb:
         return a
@@ -329,11 +331,11 @@ def _replace_slot(
 def _pass_mask(kind: int, a: float, b: float, values: np.ndarray):
     """Deterministic contribution factor of a gate on ``values``: a 0/1 mask
     for threshold/range kinds, 1 otherwise (drop corrections are per pass)."""
-    if kind == GateKind.LOWER:
+    if kind == LOWER:
         passed = values >= a
-    elif kind == GateKind.UPPER:
+    elif kind == UPPER:
         passed = values <= a
-    elif kind == GateKind.RANGE:
+    elif kind == RANGE:
         passed = (values >= a) & (values <= b)
     else:
         return 1.0
@@ -404,23 +406,24 @@ class TrainEvaluator:
         """
         if not nets:
             return []
-        stacked = np.hstack([net.w_in.T for net in nets])  # (n, len*h)
-        products = self.features @ stacked
-        states = []
-        for m, net in enumerate(nets):
-            block = products[:, m * net.h : (m + 1) * net.h] + net.b_hidden
-            states.append(self._finish_state(net, block))
-        return states
+        h = nets[0].h
+        products = self.features @ np.hstack([net.w_in.T for net in nets])  # (S, len*h)
+        products += np.concatenate([net.b_hidden for net in nets])
+        return [
+            self._finish_state(net, products[:, m * h : (m + 1) * h])
+            for m, net in enumerate(nets)
+        ]
 
-    def _finish_state(self, net: Network, det_pre_hidden: np.ndarray) -> EvalState:
-        """Apply deterministic gate retractions and price the output layer."""
+    def _finish_state(self, net: Network, pre_hidden: np.ndarray) -> EvalState:
+        """Apply deterministic gate retractions, in place, and price the
+        output layer."""
         flat = _det_gates(net.gate_kind_in.reshape(-1))
         if flat.size:
-            retract_input_gates(net, det_pre_hidden, self.features, flat)
-        hidden = expit(det_pre_hidden)
+            retract_input_gates(net, pre_hidden, self.features, flat)
+        hidden = expit(pre_hidden)
         # Independent columns: a view would keep the whole matrix alive.
         return EvalState(
-            tuple(col.copy() for col in det_pre_hidden.T),
+            tuple(col.copy() for col in pre_hidden.T),
             tuple(col.copy() for col in hidden.T),
             _det_pre_out(net, hidden),
         )
@@ -430,7 +433,7 @@ class TrainEvaluator:
         """The parent state with node j's pre-activation column set to pre_j
         and the change carried through; the other columns are shared."""
         h_old, h_new = parent.hidden_cols[j], expit(pre_j)
-        if int(child.gate_kind_out[j]) in (GateKind.INACTIVE, GateKind.DROP):
+        if int(child.gate_kind_out[j]) in (INACTIVE, DROP):
             diff = h_new - h_old
         else:
             diff = h_new * _output_mask(child, j, h_new)
@@ -482,8 +485,8 @@ class TrainEvaluator:
         term may then be -0.0 where the select gave +0.0; adding either to
         a nonzero partial sum is exact and ``expit`` maps both zeros to the
         same value, so the score is bitwise that of the select."""
-        drop_in = (net.gate_kind_in.reshape(-1) == GateKind.DROP.value).nonzero()[0]
-        drop_out = (net.gate_kind_out == GateKind.DROP.value).nonzero()[0]
+        drop_in = (net.gate_kind_in.reshape(-1) == DROP).nonzero()[0]
+        drop_out = (net.gate_kind_out == DROP).nonzero()[0]
         if (drop_in.size or drop_out.size) and rng is None:
             raise ValueError("a DROP gate needs an rng to flip its coins")
         hidden_cols, pre_out = state.hidden_cols, state.det_pre_out
@@ -509,9 +512,7 @@ class TrainEvaluator:
 
 def _det_gates(kinds: np.ndarray) -> np.ndarray:
     """Indices of the LOWER, UPPER and RANGE gates among ``kinds``."""
-    return np.flatnonzero(
-        (kinds != GateKind.INACTIVE.value) & (kinds != GateKind.DROP.value)
-    )
+    return np.flatnonzero((kinds != INACTIVE) & (kinds != DROP))
 
 
 def _det_pre_out(net: Network, hidden: np.ndarray) -> np.ndarray:

@@ -40,6 +40,10 @@ class GateKind(IntEnum):
     DROP = 4
 
 
+# Plain ints for array compares: an enum member lookup costs about 1 us
+# and, compared with an array, takes NumPy's slow enum path.
+INACTIVE, LOWER, UPPER, RANGE, DROP = (kind.value for kind in GateKind)
+
 _GATE_TAGS = {
     GateKind.INACTIVE: "I",
     GateKind.LOWER: "L",
@@ -90,26 +94,6 @@ class GateState:
     @classmethod
     def drop(cls) -> "GateState":
         return cls(GateKind.DROP)
-
-
-def gate_passes(
-    gate: GateState,
-    x: float,
-    rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
-) -> bool:
-    """Whether the gate admits input value ``x`` on this pass."""
-    if gate.kind is GateKind.INACTIVE:
-        return True
-    if gate.kind is GateKind.LOWER:
-        return x >= gate.a
-    if gate.kind is GateKind.UPPER:
-        return x <= gate.a
-    if gate.kind is GateKind.RANGE:
-        return gate.a <= x <= gate.b
-    if rng is None:
-        raise ValueError("a DROP gate needs an rng to flip its coin")
-    return bool(rng.random() >= drop_prob)
 
 
 class Network:
@@ -247,12 +231,11 @@ def blocked_matrix(
     with the open sides at infinity. DROP coins are one uniform block
     over the drop gates in the given order; a coin below drop_prob blocks.
     """
-    # Comparing against .value (a plain int) skips NumPy's slow enum path.
-    lo = np.where(kinds == GateKind.UPPER.value, -np.inf, a)
-    hi = np.where(kinds == GateKind.RANGE.value, b, a)
-    hi[kinds == GateKind.LOWER.value] = np.inf
+    lo = np.where(kinds == UPPER, -np.inf, a)
+    hi = np.where(kinds == RANGE, b, a)
+    hi[kinds == LOWER] = np.inf
     blocked = (values < lo) | (values > hi)
-    drops = np.flatnonzero(kinds == GateKind.DROP.value)
+    drops = np.flatnonzero(kinds == DROP)
     if drops.size:
         if rng is None:
             raise ValueError("a DROP gate needs an rng to flip its coins")
@@ -415,11 +398,12 @@ def save_network(net: Network, path: str | Path) -> None:
     always ungated.
     """
     lines = [f"DNET 1 {net.n} {net.h}"]
-    for j in range(net.h):
-        for i in range(net.n):
-            tokens = ["0", str(j), str(i), f"{net.w_in[j, i]:.17g}"]
-            tokens.extend(_gate_tokens(net.input_gate(j, i)))
-            lines.append(" ".join(tokens))
+    kinds = net.gate_kind_in.tolist()
+    for j, row in enumerate(net.w_in.tolist()):
+        for i, w in enumerate(row):
+            # No GateState for an inactive gate: it is most lines at n=1000.
+            gate = " ".join(_gate_tokens(net.input_gate(j, i))) if kinds[j][i] else "I"
+            lines.append(f"0 {j} {i} {w:.17g} {gate}")
         lines.append(f"0 {j} -1 {net.b_hidden[j]:.17g} I")
     for j in range(net.h):
         tokens = ["1", "0", str(j), f"{net.w_out[j]:.17g}"]

@@ -127,22 +127,25 @@ def build_landscape(n: int, k: int, seed: int) -> NKLandscape:
         raise ValueError(f"k must satisfy 0 <= k <= n-1, got k={k} for n={n}")
     rng = np.random.default_rng(seed)
     neighbors = np.empty((n, k), dtype=np.int64)
-    genes = np.arange(n)
     for i in range(n):
-        others = np.delete(genes, i)
-        neighbors[i] = rng.choice(others, size=k, replace=False)
+        # Indices into the other n-1 genes, as choice(others, k) draws them.
+        idx = rng.choice(n - 1, k, replace=False)
+        neighbors[i] = idx + (idx >= i)
     return NKLandscape(n, k, seed, neighbors, table_state=rng.bit_generator.state)
 
 
 def _table_rows(landscape: NKLandscape, bits: np.ndarray) -> np.ndarray:
     """Gene-major (n, batch) table row indices for a (batch, n) bit matrix:
-    own bit lowest, neighbor bits above it in neighbor-list order."""
+    own bit lowest, neighbor bits above it in neighbor-list order. The
+    words are the narrowest unsigned type that holds k+1 bits."""
     genes = np.ascontiguousarray(bits.T, dtype=np.uint8)
     if genes.max(initial=0) > 1:
         raise ValueError("genomes must hold only 0 and 1")
-    rows = genes.astype(np.int64)
+    rows = genes.astype(np.min_scalar_type(2 ** (landscape.k + 1) - 1))
+    shifted = np.empty_like(rows)
     for m in range(landscape.k):
-        rows += genes[landscape.neighbors[:, m]] << np.int64(m + 1)
+        neighbor_bits = genes[landscape.neighbors[:, m]]
+        rows += np.left_shift(neighbor_bits, m + 1, out=shifted, dtype=rows.dtype)
     return rows
 
 
@@ -161,9 +164,10 @@ def evaluate_genomes(landscape: NKLandscape, bits: np.ndarray) -> np.ndarray:
     contrib = np.empty(rows.shape)  # gene-major, like rows
     for start, block in landscape._blocks():
         genes = slice(start, start + len(block))
-        rows[genes] += np.arange(0, block.size, block.shape[1])[:, None]
+        # Flat indices into the block, widened to int64 one block at a time.
         # Indices are in range, so "wrap" only spares the copy "raise" buffers.
-        np.take(block.reshape(-1), rows[genes], out=contrib[genes], mode="wrap")
+        offsets = np.arange(0, block.size, block.shape[1])[:, None]
+        np.take(block.reshape(-1), offsets + rows[genes], out=contrib[genes], mode="wrap")
     del rows
     return np.ascontiguousarray(contrib.T).sum(axis=1) / landscape.n
 
@@ -176,8 +180,9 @@ def _encode_bits(bits: np.ndarray, encoding: Encoding, rng: np.random.Generator)
     """
     u = rng.random(bits.shape)
     if encoding is Encoding.SIGN_SPLIT:
-        # one -> [0, 1), zero -> [-1, 0)
-        return np.where(bits == 1, u, u - 1.0)
+        # one -> [0, 1), zero -> [-1, 0); in place, as u - 1.0 is exact
+        u -= bits == 0
+        return u
     # CENTER_BAND: one -> [-0.5, 0.5); zero -> [-1, -0.5) or (0.5, 1.0]
     coin = rng.random(bits.shape) < 0.5
     outer = np.where(coin, 0.5 * u - 1.0, 1.0 - 0.5 * u)

@@ -1,5 +1,8 @@
 """Selection, mutation, replacement, and the incremental evaluator."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,7 +101,7 @@ def test_standard_variant_never_mutates_gates(task):
 
 
 def test_seed_population_properties(task):
-    _, train, _ = task
+    _, train, test = task
     cfg = EvoConfig(p=20, h=4)
     pop = seed_population(cfg, train.n, train, np.random.default_rng(5))
     assert len(pop) == 20
@@ -110,7 +113,12 @@ def test_seed_population_properties(task):
         assert abs(net.b_out) <= 1.0
         assert count_active_gates(net)[0] == 0
         assert member.active_gate_count == 0
-        assert member.fitness == mse(net, train)
+        assert member.fitness == math.inf  # unpriced until run_evolution scores it
+    # run_evolution seeds from the same draws and prices the members as the
+    # direct forward pass does, up to the fused product's last digit.
+    trace = run_evolution(replace(cfg, generations=0), None, train, test, np.random.default_rng(5))
+    best = min(mse(member.network, train) for member in pop)
+    assert trace.records[0].best_train_mse == pytest.approx(best, rel=1e-12)
     again = seed_population(cfg, train.n, train, np.random.default_rng(5))
     assert all(
         np.array_equal(a.network.w_in, b.network.w_in) for a, b in zip(pop, again)
@@ -126,6 +134,37 @@ def test_tournament_prefers_lower_error():
     wins = sum(tournament_select(pop, rng) == 0 for _ in range(10_000))
     # picked unless both draws land on the worse member: expect 3/4
     assert abs(wins - 75_00) < 4 * np.sqrt(10_000 * 0.75 * 0.25)
+
+
+def size_two_tournament_select(pop, rng):
+    """tournament_select as it drew its pair before: one size=2 draw."""
+    a, b = rng.integers(0, len(pop), size=2)
+    a, b = int(a), int(b)
+    fa, fb = pop[a].fitness, pop[b].fitness
+    if fa < fb:
+        return a
+    if fb < fa:
+        return b
+    return a if rng.random() < 0.5 else b
+
+
+@pytest.mark.parametrize("taken", [0, 1, 3])
+def test_scalar_tournament_draws_equal_one_size_two_draw(taken):
+    """Two scalar draws pick the pair one size=2 draw picks and leave the
+    generator where it left it, also after an odd number of 32-bit draws
+    (PCG64 keeps the other half of a 64-bit word for the next one)."""
+    for size in (2, 7, 50):
+        # Pairs of equal fitness send some tournaments to the tie coin.
+        pop = [Individual(Network.zeros(2, 1), float(m // 2), 0) for m in range(size)]
+        for seed in range(200):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (got, want):
+                for _ in range(taken):
+                    rng.random(dtype=np.float32)  # one 32-bit draw
+            for _ in range(50):
+                assert tournament_select(pop, got) == size_two_tournament_select(pop, want)
+                assert got.random() == want.random()
+            assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_tournament_tie_falls_to_fair_coin():
@@ -311,7 +350,7 @@ def test_incremental_evaluator_is_bitwise_for_gateless_networks(task):
     pop = seed_population(cfg, train.n, train, np.random.default_rng(41))
     for member in pop[:5]:
         state = evaluator.full_state(member.network)
-        assert evaluator.score(member.network, state) == member.fitness
+        assert evaluator.score(member.network, state) == mse(member.network, train)
 
 
 def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):

@@ -213,3 +213,28 @@ def test_full_state_is_bitwise_the_select_oracle():
         assert np.array_equal(state.det_pre_hidden, pre_hidden)
         assert state.hidden.tobytes() == hidden.tobytes()
         assert expit(state.det_pre_out).tobytes() == expit(pre_out).tobytes()
+
+
+def test_full_states_is_bitwise_the_per_member_route():
+    """The population pass against the per-member loop it replaced: each
+    member's block of the fused product plus its biases, priced by
+    ``_finish_state``, which finds the member's own gates."""
+    rng = np.random.default_rng(8)
+    data = dataset(rng, 80, 9)
+    evaluator = TrainEvaluator(data, DROP_PROB)
+    nets = [
+        gated_network(rng, n=9, h=8, density=density, kinds=kinds)
+        for density, kinds, _ in CASES
+    ]
+    only_output = gated_network(rng, n=9, h=8, density=0.0)
+    only_output.set_output_gate(3, GateState.upper(0.6))
+    only_output.set_output_gate(5, GateState.drop())
+    nets.insert(2, only_output)
+    assert any(not net.gate_kind_in.any() and not net.gate_kind_out.any() for net in nets)
+    states = evaluator.full_states(nets)
+    products = data.features @ np.hstack([net.w_in.T for net in nets])
+    for m, (net, state) in enumerate(zip(nets, states)):
+        want = evaluator._finish_state(net, products[:, m * 8 : (m + 1) * 8] + net.b_hidden)
+        assert state.det_pre_hidden.tobytes() == want.det_pre_hidden.tobytes()
+        assert state.hidden.tobytes() == want.hidden.tobytes()
+        assert state.det_pre_out.tobytes() == want.det_pre_out.tobytes()

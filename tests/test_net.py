@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dendrevo.net import (
     GateKind,
@@ -11,10 +12,10 @@ from dendrevo.net import (
     Individual,
     Network,
     ablate_output_gates,
+    blocked_matrix,
     count_active_gates,
     forward,
     gate_fraction,
-    gate_passes,
     load_network,
     mse,
     predict,
@@ -101,35 +102,32 @@ def test_gate_state_validation():
     assert GateState.drop().kind is GateKind.DROP
 
 
+def passes(gate, values, rng=None, drop_prob=0.5):
+    """Whether an active gate admits each of ``values``, by the kernel's mask."""
+    kinds, a, b = np.array([int(gate.kind)]), np.array([gate.a]), np.array([gate.b])
+    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return ~blocked_matrix(kinds, a, b, column, rng, drop_prob)[:, 0]
+
+
 def test_gate_passes_inclusive_comparisons():
-    assert gate_passes(GateState.lower(0.3), 0.3)
-    assert gate_passes(GateState.lower(0.3), 0.4)
-    assert not gate_passes(GateState.lower(0.3), 0.2)
-    assert gate_passes(GateState.upper(0.3), 0.3)
-    assert not gate_passes(GateState.upper(0.3), 0.4)
-    assert gate_passes(GateState.band(-0.2, 0.2), -0.2)
-    assert gate_passes(GateState.band(-0.2, 0.2), 0.2)
-    assert not gate_passes(GateState.band(-0.2, 0.2), 0.21)
-    assert gate_passes(GateState.band(0.1, 0.1), 0.1)  # degenerate range
-    assert gate_passes(GateState.inactive(), 1e9)
+    assert passes(GateState.lower(0.3), [0.3, 0.4, 0.2]).tolist() == [True, True, False]
+    assert passes(GateState.upper(0.3), [0.3, 0.4]).tolist() == [True, False]
+    assert passes(GateState.band(-0.2, 0.2), [-0.2, 0.2, 0.21]).tolist() == [True, True, False]
+    assert passes(GateState.band(0.1, 0.1), [0.1]).all()  # degenerate range
+    # An inactive gate transmits any value: sigmoid(1e9) = 1 reaches the output.
+    net = Network.zeros(1, 1)
+    net.w_in[0, 0] = net.w_out[0] = 1.0
+    assert forward(net, np.array([1e9])) == expit(1.0)
 
 
 def test_drop_gate_needs_rng_and_respects_probability():
     with pytest.raises(ValueError):
-        gate_passes(GateState.drop(), 0.0)
-    rng = np.random.default_rng(0)
-    outcomes = [gate_passes(GateState.drop(), 0.0, rng) for _ in range(10_000)]
-    passes = sum(outcomes)
+        passes(GateState.drop(), [0.0])
+    outcomes = passes(GateState.drop(), np.zeros(10_000), np.random.default_rng(0))
     # fair coin: 4 sigma around 5000
-    assert abs(passes - 5000) < 200
-    assert all(
-        gate_passes(GateState.drop(), 0.0, np.random.default_rng(1), drop_prob=0.0)
-        for _ in range(10)
-    )
-    assert not any(
-        gate_passes(GateState.drop(), 0.0, np.random.default_rng(1), drop_prob=1.0)
-        for _ in range(10)
-    )
+    assert abs(int(outcomes.sum()) - 5000) < 200
+    assert passes(GateState.drop(), np.zeros(10), np.random.default_rng(1), drop_prob=0.0).all()
+    assert not passes(GateState.drop(), np.zeros(10), np.random.default_rng(1), drop_prob=1.0).any()
 
 
 def test_forward_matches_frozen_sigmoid_value():
@@ -278,6 +276,44 @@ def test_genome_save_load_round_trip(tmp_path):
     assert np.array_equal(back.gate_kind_out, net.gate_kind_out)
     assert np.array_equal(back.gate_a_out, net.gate_a_out)
     assert np.array_equal(back.gate_b_out, net.gate_b_out)
+
+
+def gate_state_export(net: Network) -> str:
+    """The genome export as it was written before: one GateState per line."""
+
+    def tokens(gate):
+        tag = {0: "I", 1: "L", 2: "U", 3: "R", 4: "D"}[int(gate.kind)]
+        if gate.kind in (GateKind.LOWER, GateKind.UPPER):
+            return [tag, f"{gate.a:.17g}"]
+        if gate.kind is GateKind.RANGE:
+            return [tag, f"{gate.a:.17g}", f"{gate.b:.17g}"]
+        return [tag]
+
+    lines = [f"DNET 1 {net.n} {net.h}"]
+    for j in range(net.h):
+        for i in range(net.n):
+            line = ["0", str(j), str(i), f"{net.w_in[j, i]:.17g}"]
+            lines.append(" ".join(line + tokens(net.input_gate(j, i))))
+        lines.append(f"0 {j} -1 {net.b_hidden[j]:.17g} I")
+    for j in range(net.h):
+        line = ["1", "0", str(j), f"{net.w_out[j]:.17g}"]
+        lines.append(" ".join(line + tokens(net.output_gate(j))))
+    lines.append(f"1 0 -1 {net.b_out:.17g} I")
+    return "\n".join(lines) + "\n"
+
+
+def test_genome_export_is_bytewise_the_gate_state_export(tmp_path):
+    rng = np.random.default_rng(19)
+    net = random_gated_network(rng, n=30, h=6, kinds=(1, 2, 3, 4), density=0.6)
+    net.w_in[0, :3] = [0.0, -0.0, 1e-300]
+    outputs = [GateState.lower(-0.25), GateState.upper(0.5), GateState.band(-0.5, 0.75)]
+    for j, gate in enumerate([GateState.inactive(), *outputs, GateState.drop()]):
+        net.set_output_gate(j, gate)
+    for layer in (net.gate_kind_in, net.gate_kind_out):
+        assert set(np.unique(layer)) == {0, 1, 2, 3, 4}
+    path = tmp_path / "genome.dnet"
+    save_network(net, path)
+    assert path.read_bytes() == gate_state_export(net).encode("utf-8")
 
 
 def test_load_network_rejects_malformed_files(tmp_path):

@@ -103,6 +103,44 @@ def test_table_index_packs_own_bit_lowest():
         assert rows[gene, 0] == expected
 
 
+def int64_table_rows(land, bits: np.ndarray) -> np.ndarray:
+    """Table rows as evaluation packed them before: int64 words, gene-major."""
+    genes = np.ascontiguousarray(bits.T, dtype=np.uint8)
+    rows = genes.astype(np.int64)
+    for m in range(land.k):
+        rows += genes[land.neighbors[:, m]] << np.int64(m + 1)
+    return rows
+
+
+@pytest.mark.parametrize("k", [0, 1, 15, 30])
+def test_table_rows_in_narrow_words_equal_the_int64_rows(k):
+    land = build_landscape(40, k, 17 + k)  # the table is never drawn here
+    bits = np.random.default_rng(k).integers(0, 2, size=(50, 40), dtype=np.uint8)
+    rows = nk._table_rows(land, bits)
+    assert np.array_equal(rows, int64_table_rows(land, bits))
+    assert rows.dtype.kind == "u" and rows.dtype.itemsize * 8 >= k + 1
+
+
+def delete_drawn_neighbors(n: int, k: int, seed: int) -> tuple[np.ndarray, dict]:
+    """Neighbor lists drawn from each gene's ``np.delete``d list of the
+    others, and the generator state after them."""
+    rng = np.random.default_rng(seed)
+    genes = np.arange(n)
+    neighbors = np.array(
+        [rng.choice(np.delete(genes, i), size=k, replace=False) for i in range(n)],
+        dtype=np.int64,
+    ).reshape(n, k)
+    return neighbors, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (10, 0), (10, 3), (40, 39), (200, 15), (60, 45)])
+def test_neighbor_draws_equal_the_delete_based_draws(n, k):
+    land = build_landscape(n, k, seed=n * k + 3)
+    neighbors, state = delete_drawn_neighbors(n, k, seed=n * k + 3)
+    assert np.array_equal(land.neighbors, neighbors)
+    assert land.table_state == state
+
+
 def test_evaluate_genome_matches_scalar_table_walk():
     """Vectorized fitness agrees with a per-gene lookup loop."""
     land = build_landscape(9, 3, 21)
@@ -212,6 +250,26 @@ def test_center_band_encoding_separates_by_magnitude():
     assert np.all(np.abs(zeros) >= 0.5) and np.all(np.abs(zeros) <= 1.0)
     # zero genes must use both outer bands, not just one side
     assert np.any(zeros > 0) and np.any(zeros < 0)
+
+
+def select_encode_bits(bits, encoding, rng):
+    """Bit encoding by selects on the bits, as it was written before."""
+    u = rng.random(bits.shape)
+    if encoding is Encoding.SIGN_SPLIT:
+        return np.where(bits == 1, u, u - 1.0)
+    coin = rng.random(bits.shape) < 0.5
+    outer = np.where(coin, 0.5 * u - 1.0, 1.0 - 0.5 * u)
+    return np.where(bits == 1, u - 0.5, outer)
+
+
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_encoding_is_bitwise_the_select_oracle(encoding):
+    for seed in range(20):
+        bits = np.random.default_rng(100 + seed).integers(0, 2, size=(40, 60), dtype=np.uint8)
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        features = nk._encode_bits(bits, encoding, got)
+        assert features.tobytes() == select_encode_bits(bits, encoding, want).tobytes()
+        assert got.random() == want.random()
 
 
 def test_encoding_is_reproducible_per_rng_seed():
