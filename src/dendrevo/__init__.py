@@ -4,61 +4,30 @@ The package splits into data generation (:mod:`dendrevo.nk`), the gated
 network model (:mod:`dendrevo.net`), the steady-state evolutionary loop
 (:mod:`dendrevo.evolve`), multi-run orchestration and statistics
 (:mod:`dendrevo.harness`), and SVG reporting (:mod:`dendrevo.svgplot`).
+The package root re-exports the names that the README's Python API and
+the acceptance criteria use; every other name is imported from its module.
 """
 
 from .evolve import (
-    EvalState,
     EvoConfig,
-    GateChange,
-    MutationRecord,
-    RunTrace,
-    TraceRecord,
-    TrainEvaluator,
     Variant,
-    WeightChange,
     describe_mutation,
     run_evolution,
     seed_population,
-    tournament_select,
 )
 from .harness import (
-    AblationReport,
-    ComparisonReport,
     ExperimentSpec,
-    PairwiseResult,
-    SweepPoint,
-    SweepRow,
-    VariantSummary,
     ablation_study,
     compare,
-    derive_seed,
-    gate_location_histogram,
     read_trace_rows,
     run_cell,
     run_experiment,
-    summarize,
     sweep_n,
     welch_t_test,
-    write_trace_csv,
 )
-from .net import (
-    GateKind,
-    GateState,
-    Individual,
-    Network,
-    ablate_output_gates,
-    count_active_gates,
-    forward,
-    gate_fraction,
-    load_network,
-    mse,
-    predict,
-    save_network,
-)
+from .net import Individual, Network, count_active_gates, mse, predict
 from .nk import (
-    Dataset,
     Encoding,
-    NKLandscape,
     build_landscape,
     evaluate_genomes,
     generate_dataset,
@@ -68,54 +37,27 @@ from .nk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationReport",
-    "ComparisonReport",
-    "Dataset",
     "Encoding",
-    "EvalState",
     "EvoConfig",
     "ExperimentSpec",
-    "GateChange",
-    "GateKind",
-    "GateState",
     "Individual",
-    "MutationRecord",
-    "NKLandscape",
     "Network",
-    "PairwiseResult",
-    "RunTrace",
-    "SweepPoint",
-    "SweepRow",
-    "TraceRecord",
-    "TrainEvaluator",
     "Variant",
-    "VariantSummary",
-    "WeightChange",
-    "ablate_output_gates",
     "ablation_study",
     "build_landscape",
     "compare",
     "count_active_gates",
-    "derive_seed",
     "describe_mutation",
     "evaluate_genomes",
-    "forward",
-    "gate_fraction",
-    "gate_location_histogram",
     "generate_dataset",
     "generate_datasets",
-    "load_network",
     "mse",
     "predict",
     "read_trace_rows",
     "run_cell",
     "run_evolution",
     "run_experiment",
-    "save_network",
     "seed_population",
-    "summarize",
     "sweep_n",
-    "tournament_select",
     "welch_t_test",
-    "write_trace_csv",
 ]

@@ -6,9 +6,9 @@ and then overwrites a uniformly chosen victim. When child and victim have
 exactly equal training error, the one using fewer active gates keeps the
 slot, which applies a constant selective pressure against gate use.
 
-A "generation" is ``offspring_per_generation`` steps of this loop
-(default: one per population member, i.e. P offspring), so the default
-1000-generation run performs 50,000 fitness evaluations.
+A "generation" is P steps of this loop, one offspring per population
+member, so the default 1000-generation run performs 50,000 fitness
+evaluations.
 
 Because each mutation changes one gene, training fitness is maintained
 incrementally: every population member carries the deterministic part of
@@ -24,7 +24,7 @@ every genome array and state column that its mutation does not write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -64,11 +64,9 @@ class EvoConfig:
     h: int = 10
     r: float = 0.1
     generations: int = 1000
-    offspring_per_generation: int | None = None  # None means p
     variant: Variant = Variant.STANDARD
     dendrite_mutation_prob: float = 0.5
     parsimony: bool = True
-    seed: int = 0
     drop_prob: float = DEFAULT_DROP_PROB
     resample_train_each_generation: bool = False
 
@@ -85,12 +83,6 @@ class EvoConfig:
             raise ValueError("dendrite_mutation_prob must lie in [0, 1]")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
-        if self.offspring_per_generation is not None and self.offspring_per_generation < 1:
-            raise ValueError("offspring_per_generation must be >= 1")
-
-    @property
-    def steps_per_generation(self) -> int:
-        return self.offspring_per_generation if self.offspring_per_generation else self.p
 
     @property
     def effective_dendrite_prob(self) -> float:
@@ -118,21 +110,11 @@ class RunTrace:
 
     Gate fractions are reported against the full weighted parameter count
     (n*h + 2h + 1, e.g. 15/10021 at n=1000, h=10), matching how the
-    gate-usage traces are plotted. ``input_gate_counts[j]`` is the number
-    of gated connections into hidden node j; ``output_gate_flags[j]`` is 1
-    when the hidden-j-to-output connection is gated.
+    gate-usage traces are plotted.
     """
 
     records: list[TraceRecord]
     final_network: Network
-    input_gate_counts: np.ndarray = field(init=False)
-    output_gate_flags: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.input_gate_counts = np.count_nonzero(
-            self.final_network.gate_kind_in, axis=1
-        ).astype(np.int64)
-        self.output_gate_flags = (self.final_network.gate_kind_out != 0).astype(np.int64)
 
 
 def seed_population(
@@ -354,9 +336,9 @@ class EvalState:
 
     det_pre_hidden holds the hidden pre-activations with threshold/range
     retractions applied and drop-gated contributions still included (drop
-    corrections are per-pass). hidden and det_pre_out follow from it the
-    same way. For a network with no drop gates, det_pre_out is the exact
-    output pre-activation.
+    corrections are per-pass). The hidden activations and det_pre_out
+    follow from it the same way. For a network with no drop gates,
+    det_pre_out is the exact output pre-activation.
 
     Each hidden node's pre-activation and activation is its own (samples,)
     array. States share these columns, so none is written in place.
@@ -369,10 +351,6 @@ class EvalState:
     @property
     def det_pre_hidden(self) -> np.ndarray:  # (samples, h), C order
         return np.array(self.pre_cols).T.copy()
-
-    @property
-    def hidden(self) -> np.ndarray:  # (samples, h), C order
-        return np.array(self.hidden_cols).T.copy()
 
 
 class TrainEvaluator:
@@ -562,12 +540,13 @@ def run_evolution(
     landscape: NKLandscape | None,
     train: Dataset,
     test: Dataset,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> RunTrace:
     """Run the steady-state loop and record one trace row per generation.
 
     All randomness (seeding, selection, mutation, drop-gate coins) flows
-    through one stream, so a given seed fully determines the trace.
+    through ``rng``, so its seed fully determines the trace. A generation
+    is P steps.
     Training fitness is maintained by the incremental evaluator; test
     error is measured by the direct forward pass on the generation's
     best member. The landscape is only consulted when per-generation
@@ -582,8 +561,6 @@ def run_evolution(
         if landscape is None:
             raise ValueError("training-set resampling needs the landscape")
         landscape = landscape.dense()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     evaluator = TrainEvaluator(train, config.drop_prob)
     pop = seed_population(config, train.n, train, rng)
@@ -598,7 +575,7 @@ def run_evolution(
             states = evaluator.full_states([member.network for member in pop])
             for idx, member in enumerate(pop):
                 member.fitness = evaluator.score(member.network, states[idx], rng)
-        for _ in range(config.steps_per_generation):
+        for _ in range(config.p):
             parent_idx = tournament_select(pop, rng)
             child_net, change = describe_mutation(
                 pop[parent_idx].network, config, rng

@@ -124,7 +124,7 @@ def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
         (spec.train_size, np.random.default_rng(train_seed)),
         (spec.test_size, np.random.default_rng(test_seed)),
     )
-    config = dc_replace(spec.config, variant=variant, seed=evolve_seed)
+    config = dc_replace(spec.config, variant=variant)
     return run_evolution(
         config, landscape, train, test, np.random.default_rng(evolve_seed)
     )
@@ -170,36 +170,34 @@ def write_trace_csv(
     _atomic_write(Path(path), lambda tmp: tmp.write_text(text))
 
 
-def read_trace_rows(path: str | Path) -> list[tuple[str, int, TraceRecord]]:
-    """Parse a trace CSV back into (variant name, run, record) rows."""
+def read_csv_rows(path: str | Path, header: str, casts) -> list[tuple]:
+    """Parse a CSV written under ``header``: one tuple per data row, field
+    i passed through ``casts[i]``."""
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}: not a trace file (unexpected header)")
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: unexpected header; expected {header!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+        if len(parts) != len(casts):
+            raise ValueError(f"{path}:{lineno}: expected {len(casts)} fields, got {len(parts)}")
         try:
-            rows.append(
-                (
-                    parts[0],
-                    int(parts[1]),
-                    TraceRecord(
-                        generation=int(parts[2]),
-                        best_train_mse=float(parts[3]),
-                        best_test_mse=float(parts[4]),
-                        best_gate_fraction=float(parts[5]),
-                        mean_gate_fraction=float(parts[6]),
-                    ),
-                )
-            )
+            rows.append(tuple(cast(part) for cast, part in zip(casts, parts)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows
+
+
+def read_trace_rows(path: str | Path) -> list[tuple[str, int, TraceRecord]]:
+    """Parse a trace CSV back into (variant name, run, record) rows."""
+    casts = (str, int, int, float, float, float, float)
+    return [
+        (name, run, TraceRecord(*values))
+        for name, run, *values in read_csv_rows(path, TRACE_HEADER, casts)
+    ]
 
 
 def _cell_paths(runs_dir: Path, variant: Variant, run: int) -> tuple[Path, Path]:
@@ -469,12 +467,6 @@ def compare(result: ExperimentResult) -> ComparisonReport:
     return ComparisonReport(summaries=summaries, pairwise=pairwise)
 
 
-def gate_location_histogram(trace: RunTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Active-gate counts of the final genome: per-hidden-node counts for
-    the input layer, 0/1 flags for the hidden-to-output connections."""
-    return trace.input_gate_counts.copy(), trace.output_gate_flags.copy()
-
-
 @dataclass(frozen=True)
 class AblationReport:
     """Test error of evolved threshold-gated genomes before and after
@@ -489,14 +481,9 @@ class AblationReport:
     p_ablated_vs_standard: float
 
 
-def ablation_study(
-    spec: ExperimentSpec,
-    result: ExperimentResult | None = None,
-    out_dir: str | Path | None = None,
-    workers: int = 1,
-    log: Logger | None = None,
-) -> AblationReport:
-    """Re-evaluate final threshold-variant genomes with output gates cut.
+def ablation_study(spec: ExperimentSpec, result: ExperimentResult) -> AblationReport:
+    """Re-evaluate the final threshold-variant genomes of ``result`` (the
+    grid of ``spec``) with output gates cut.
 
     Each genome is scored on its own run's test set, which is rebuilt
     from the cell seeds, so a cached experiment can be ablated without
@@ -505,8 +492,6 @@ def ablation_study(
     needed = (Variant.STANDARD, Variant.DENDRITE_THRESHOLD)
     if any(v not in spec.variants for v in needed):
         raise ValueError("ablation needs both the standard and dendrite variants")
-    if result is None:
-        result = run_experiment(spec, out_dir=out_dir, workers=workers, log=log)
     gated, ablated = [], []
     for run, trace in enumerate(result[Variant.DENDRITE_THRESHOLD]):
         land_seed, _, test_seed, _ = _cell_seeds(spec, Variant.DENDRITE_THRESHOLD, run)

@@ -330,19 +330,6 @@ def predict(
     return expit(pre_out)
 
 
-def forward(
-    net: Network,
-    features: np.ndarray,
-    rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
-) -> float:
-    """Single forward pass; output always lies in (0, 1)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (net.n,):
-        raise ValueError(f"expected {net.n} features, got {features.shape}")
-    return float(predict(net, features[None, :], rng, drop_prob)[0])
-
-
 def mse(
     net: Network,
     data,

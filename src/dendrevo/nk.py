@@ -42,7 +42,7 @@ class NKLandscape:
 
     ``neighbors[i]`` lists the k other genes that modulate gene i's
     contribution; row i of ``tables`` holds its 2^(k+1) contribution values.
-    Reconstructing from (seed, n, k) yields an identical landscape.
+    :func:`build_landscape` with the same (n, k, seed) yields an identical one.
     The table is not held: ``table_state`` is the generator state at which
     its draws begin, and evaluation draws it again in ``BLOCK_ENTRIES``
     blocks, so at n=1000, k=15 a landscape holds 125 KB of neighbor lists,
@@ -51,7 +51,6 @@ class NKLandscape:
 
     n: int
     k: int
-    seed: int
     neighbors: np.ndarray  # (n, k) int64, row i excludes i, entries distinct
     table_state: dict  # PCG64 state at the first table draw
     held_table: np.ndarray | None = field(default=None, repr=False)
@@ -105,10 +104,6 @@ class Dataset:
         return self.features.shape[0]
 
     @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def n(self) -> int:
         return self.features.shape[1]
 
@@ -131,7 +126,7 @@ def build_landscape(n: int, k: int, seed: int) -> NKLandscape:
         # Indices into the other n-1 genes, as choice(others, k) draws them.
         idx = rng.choice(n - 1, k, replace=False)
         neighbors[i] = idx + (idx >= i)
-    return NKLandscape(n, k, seed, neighbors, table_state=rng.bit_generator.state)
+    return NKLandscape(n, k, neighbors, table_state=rng.bit_generator.state)
 
 
 def _table_rows(landscape: NKLandscape, bits: np.ndarray) -> np.ndarray:

@@ -355,9 +355,7 @@ def test_criterion_07_random_dropout_underperforms(desk_grid):
 
 
 def test_criterion_08_output_gate_ablation_matches_standard(desk_grid):
-    report = ablation_study(
-        desk_grid.spec, result=desk_grid.result, out_dir=desk_grid.out
-    )
+    report = ablation_study(desk_grid.spec, desk_grid.result)
     ok = (
         report.ablated_test_mse.shape == (10,)
         and np.all(np.isfinite(report.ablated_test_mse))
@@ -494,5 +492,5 @@ def test_full_scale_random_dropout_significantly_worse(full_grid):
 @full_scale
 def test_full_scale_ablation_indistinguishable_from_standard(full_grid):
     for k, (spec, out, result) in full_grid.items():
-        report = ablation_study(spec, result=result, out_dir=out)
+        report = ablation_study(spec, result)
         assert report.p_ablated_vs_standard >= 0.05, f"k={k}"

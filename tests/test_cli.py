@@ -8,27 +8,25 @@ covered elsewhere.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from dataclasses import fields
+from enum import Enum
 
 import pytest
 
-from dendrevo import (
-    GateState,
-    Network,
-    count_active_gates,
-    gate_fraction,
-    save_network,
-)
 from dendrevo.cli import (
     COMPARE_HEADER,
+    SETTINGS,
     SUMMARY_HEADER,
     SWEEP_HEADER,
-    _experiment_spec,
-    _resolver,
+    RunOptions,
+    _config,
+    _settings,
     build_parser,
     main,
 )
-from dendrevo.evolve import Variant
-from dendrevo.harness import TRACE_HEADER, format_float, read_trace_rows
+from dendrevo.evolve import EvoConfig, Variant
+from dendrevo.harness import ExperimentSpec, TRACE_HEADER, format_float, read_trace_rows
+from dendrevo.net import GateState, Network, count_active_gates, gate_fraction, save_network
 
 # Shared tiny-problem flags: n=8, k=2, 6 genomes, 2 hidden nodes,
 # 2 generations, 10-sample data sets.
@@ -213,19 +211,91 @@ def test_drop_prob_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
     assert "drop_prob" in capsys.readouterr().err
 
 
-def _spec_from(argv):
+# Fields the settings table leaves out: each cell's variant comes from
+# --variant (run) or --variants (compare).
+SET_PER_CELL = {"config.variant", "variants"}
+
+
+def _resolved(argv):
     args = build_parser().parse_args(argv)
-    return _experiment_spec(_resolver(args), (Variant.DENDRITE_THRESHOLD,))
+    return _settings(args, _config(args), variants=(Variant.DENDRITE_THRESHOLD,))
 
 
-def test_shared_landscape_flag_and_config_key_reach_the_spec(tmp_path):
-    assert _spec_from(["run", *TINY]).shared_landscape is False
-    assert _spec_from(["run", *TINY, "--shared-landscape"]).shared_landscape is True
+def _field(spec, opts, target):
+    owner, _, name = target.rpartition(".")
+    return getattr({"": spec, "config": spec.config, "run": opts}[owner], name)
+
+
+def _defaults():
+    return ExperimentSpec(config=EvoConfig()), RunOptions()
+
+
+def _other_value(default):
+    """A value unlike ``default``, and how a config file spells it."""
+    if isinstance(default, bool):
+        return not default, "no" if default else "yes"
+    if isinstance(default, Enum):
+        member = next(m for m in type(default) if m is not default)
+        return member, member.value
+    if isinstance(default, int):
+        return default + 1, str(default + 1)
+    if isinstance(default, float):
+        return default / 2, repr(default / 2)
+    return default + "-elsewhere", default + "-elsewhere"
+
+
+@pytest.mark.parametrize(
+    "key,target", [row[:2] for row in SETTINGS], ids=[row[0] for row in SETTINGS]
+)
+def test_every_setting_reaches_its_field(tmp_path, key, target):
+    default = _field(*_defaults(), target)
+    assert _field(*_resolved(["run"]), target) == default
+    value, spelled = _other_value(default)
+    flag = "--" + ("no-" if default is True else "") + key.replace("_", "-")
+    argv = [flag] if isinstance(default, bool) else [flag, spelled]
+    assert _field(*_resolved(["run", *argv]), target) == value
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("shared_landscape = yes\n")
-    assert _spec_from(["run", "--config", str(cfg)]).shared_landscape is True
-    cfg.write_text("shared_landscape = no\n")
-    assert _spec_from(["run", "--config", str(cfg)]).shared_landscape is False
+    cfg.write_text(f"{key} = {spelled}\n")
+    assert _field(*_resolved(["run", "--config", str(cfg)]), target) == value
+
+
+def test_every_dataclass_field_is_a_setting_or_set_per_cell():
+    targets = [target for _, target, _ in SETTINGS]
+    assert len(set(targets)) == len(targets)
+    assert not set(targets) & SET_PER_CELL
+    every_field = (
+        {f.name for f in fields(ExperimentSpec) if f.name != "config"}
+        | {f"config.{f.name}" for f in fields(EvoConfig)}
+        | {f"run.{f.name}" for f in fields(RunOptions)}
+    )
+    assert set(targets) | SET_PER_CELL == every_field
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_help_shows_every_default(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key, target, _ in SETTINGS:
+        default = _field(*_defaults(), target)
+        flag = "--" + ("no-" if default is True else "") + key.replace("_", "-")
+        if command == "sweep" and key == "n":
+            assert f"{flag} " not in text  # sweep's sizes come from --n-values
+            continue
+        shown = default.value if isinstance(default, Enum) else default
+        entry = text[text.rindex(f"{flag} "):].split(" --", 1)[0]
+        assert entry.endswith(f"(default: {shown})"), entry
+
+
+def test_zero_workers_is_a_usage_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["run", *TINY, "--workers", "0", "--out", str(out)]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(out) + "workers = 0\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_writes_pairwise_table(tmp_path, capsys):
@@ -276,6 +346,29 @@ def test_sweep_writes_table_subdirs_and_chart(tmp_path, capsys):
     assert "n=8 standard:" in capsys.readouterr().out
 
 
+def test_sweep_checks_k_against_its_sizes_only(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 2\n")  # sweep ignores n
+    rc = main([
+        "sweep", "--config", str(cfg), "--k", "3", "--n-values", "5,6",
+        "--pop", "6", "--hidden", "2", "--generations", "1", "--runs", "2",
+        "--train-size", "5", "--test-size", "5", "--out", str(tmp_path / "swp"),
+    ])
+    assert rc == 0
+    assert (tmp_path / "swp" / "n-5").is_dir() and (tmp_path / "swp" / "n-6").is_dir()
+
+
+def test_sweep_reports_a_damaged_cell_as_a_runtime_error(tmp_path, capsys):
+    argv = ["sweep", "--n-values", "8", "--k", "2", "--pop", "6", "--hidden", "2",
+            "--generations", "2", "--runs", "2", "--train-size", "5", "--test-size", "5",
+            "--out", str(tmp_path / "swp")]
+    assert main(argv) == 0
+    cell = tmp_path / "swp" / "n-8" / "runs" / "standard-run000.trace.csv"
+    cell.write_text("\n".join(cell.read_text().splitlines()[:2]) + "\n")
+    assert main(argv) == 1
+    assert "remove stale outputs" in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_sizes(tmp_path, capsys):
     common = ["--k", "2", "--pop", "6", "--hidden", "2", "--generations", "1",
               "--runs", "1", "--train-size", "5", "--test-size", "5",
@@ -283,6 +376,7 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys):
     assert main(["sweep", "--n-values", "8,8", *common]) == 2
     assert main(["sweep", "--n-values", "2,8", *common]) == 2
     assert main(["sweep", "--n-values", "", *common]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_plot_renders_trace_csv(tmp_path):

@@ -78,11 +78,16 @@ def oracle_det_retract_out(net, hidden, pre_out):
     return pre_out
 
 
+def hidden_matrix(state):
+    """An EvalState's hidden activations as one C-ordered (samples, h) matrix."""
+    return np.array(state.hidden_cols).T.copy()
+
+
 def oracle_score(data, net, state, rng, drop_prob=DROP_PROB):
     X = data.features
     drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP)
     drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP)
-    hidden, pre_out = state.hidden, state.det_pre_out.copy()
+    hidden, pre_out = hidden_matrix(state), state.det_pre_out.copy()
     if drop_in.size:
         j_idx, i_idx = drop_in // net.n, drop_in % net.n
         values = X[:, i_idx]
@@ -174,7 +179,7 @@ def test_score_is_bitwise_the_select_oracle(density, kinds, drop_prob):
     for _ in range(20):
         net = gated_network(rng, n=9, h=8, density=density, kinds=kinds)
         state = evaluator.full_state(net)
-        cached = (state.det_pre_hidden, state.hidden, state.det_pre_out)
+        cached = (state.det_pre_hidden, hidden_matrix(state), state.det_pre_out)
         before = [array.tobytes() for array in cached]
         seed = int(rng.integers(2**32))
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -211,7 +216,7 @@ def test_full_state_is_bitwise_the_select_oracle():
         hidden = expit(pre_hidden)
         pre_out = oracle_det_retract_out(net, hidden, hidden @ net.w_out + net.b_out)
         assert np.array_equal(state.det_pre_hidden, pre_hidden)
-        assert state.hidden.tobytes() == hidden.tobytes()
+        assert hidden_matrix(state).tobytes() == hidden.tobytes()
         assert expit(state.det_pre_out).tobytes() == expit(pre_out).tobytes()
 
 
@@ -236,5 +241,5 @@ def test_full_states_is_bitwise_the_per_member_route():
     for m, (net, state) in enumerate(zip(nets, states)):
         want = evaluator._finish_state(net, products[:, m * 8 : (m + 1) * 8] + net.b_hidden)
         assert state.det_pre_hidden.tobytes() == want.det_pre_hidden.tobytes()
-        assert state.hidden.tobytes() == want.hidden.tobytes()
+        assert hidden_matrix(state).tobytes() == hidden_matrix(want).tobytes()
         assert state.det_pre_out.tobytes() == want.det_pre_out.tobytes()

@@ -20,7 +20,6 @@ from dendrevo.harness import (
     derive_seed,
     final_test_errors,
     format_float,
-    gate_location_histogram,
     read_trace_rows,
     run_cell,
     run_experiment,
@@ -34,7 +33,7 @@ from dendrevo.nk import Encoding, build_landscape, generate_dataset
 
 
 def tiny_spec(**overrides):
-    config = EvoConfig(p=6, h=2, generations=3, seed=0)
+    config = EvoConfig(p=6, h=2, generations=3)
     defaults = dict(
         config=config,
         n=8,
@@ -265,7 +264,7 @@ def test_run_experiment_without_out_dir_matches_persisted(tmp_path):
 def test_run_experiment_rejects_stale_cache(tmp_path):
     out = tmp_path / "exp"
     run_experiment(tiny_spec(), out_dir=out)
-    longer = tiny_spec(config=EvoConfig(p=6, h=2, generations=5, seed=0))
+    longer = tiny_spec(config=EvoConfig(p=6, h=2, generations=5))
     with pytest.raises(ValueError, match="stale"):
         run_experiment(longer, out_dir=out)
 
@@ -273,7 +272,7 @@ def test_run_experiment_rejects_stale_cache(tmp_path):
 def test_run_experiment_rejects_mismatched_genome_cache(tmp_path):
     out = tmp_path / "exp"
     run_experiment(tiny_spec(), out_dir=out)
-    wider = tiny_spec(config=EvoConfig(p=6, h=3, generations=3, seed=0))
+    wider = tiny_spec(config=EvoConfig(p=6, h=3, generations=3))
     with pytest.raises(ValueError, match=r"config\.h \(2 -> 3\)"):
         run_experiment(wider, out_dir=out)
 
@@ -302,7 +301,7 @@ def test_manifest_records_every_spec_field_and_refuses_other_specs(tmp_path):
         tiny_spec(master_seed=6),
         tiny_spec(encoding=Encoding.CENTER_BAND),
         tiny_spec(shared_landscape=True),
-        tiny_spec(config=EvoConfig(p=6, h=2, generations=3, seed=0, r=0.2)),
+        tiny_spec(config=EvoConfig(p=6, h=2, generations=3, r=0.2)),
     ):
         with pytest.raises(harness.SpecMismatch, match="differing fields"):
             run_experiment(changed, out_dir=out)
@@ -376,17 +375,9 @@ def test_summarize_single_run_has_zero_std():
     assert summary.runs == 1
 
 
-def test_gate_location_histogram_returns_copies():
-    trace = synthetic_trace(0.1, 0.2)
-    counts, flags = gate_location_histogram(trace)
-    counts[:] = 99
-    assert np.all(trace.input_gate_counts == 0)
-    assert flags.shape == (2,)
-
-
 def test_ablation_study_mechanics(tmp_path):
     spec = tiny_spec(
-        config=EvoConfig(p=6, h=2, generations=12, seed=0), runs=3
+        config=EvoConfig(p=6, h=2, generations=12), runs=3
     )
     result = run_experiment(spec)
     report = ablation_study(spec, result=result)

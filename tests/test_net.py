@@ -14,7 +14,6 @@ from dendrevo.net import (
     ablate_output_gates,
     blocked_matrix,
     count_active_gates,
-    forward,
     gate_fraction,
     load_network,
     mse,
@@ -117,7 +116,7 @@ def test_gate_passes_inclusive_comparisons():
     # An inactive gate transmits any value: sigmoid(1e9) = 1 reaches the output.
     net = Network.zeros(1, 1)
     net.w_in[0, 0] = net.w_out[0] = 1.0
-    assert forward(net, np.array([1e9])) == expit(1.0)
+    assert predict(net, np.array([[1e9]]))[0] == expit(1.0)
 
 
 def test_drop_gate_needs_rng_and_respects_probability():
@@ -133,7 +132,7 @@ def test_drop_gate_needs_rng_and_respects_probability():
 def test_forward_matches_frozen_sigmoid_value():
     net = Network.zeros(1, 1)
     net.w_out[0] = 1.0
-    assert forward(net, np.array([0.123])) == SIGMOID_HALF
+    assert predict(net, np.array([[0.123]]))[0] == SIGMOID_HALF
 
 
 def test_ungated_forward_equals_plain_mlp_reference():
@@ -158,7 +157,7 @@ def test_deterministic_gates_match_scalar_reference():
         net = random_gated_network(rng)
         x = rng.uniform(-1, 1, size=net.n)
         want = scalar_reference(net, x)
-        got = forward(net, x)
+        got = predict(net, x[None, :])[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -172,7 +171,7 @@ def test_drop_gates_match_scalar_reference_at_coin_extremes():
         }
         decisions.update({(1, j, 0): outcome for j in range(net.h)})
         want = scalar_reference(net, x, decisions)
-        got = forward(net, x, np.random.default_rng(0), drop_prob=drop_prob)
+        got = predict(net, x[None, :], np.random.default_rng(0), drop_prob)[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -183,9 +182,9 @@ def test_output_gates_test_post_sigmoid_activation():
     net.b_hidden[0] = 10.0  # hidden activation ~ 0.99995
     net.w_out[0] = 3.0
     net.set_output_gate(0, GateState.upper(0.9))  # blocks values above 0.9
-    assert forward(net, np.zeros(1)) == 0.5  # connection cut: sigmoid(0)
+    assert predict(net, np.zeros((1, 1)))[0] == 0.5  # connection cut: sigmoid(0)
     net.set_output_gate(0, GateState.lower(0.9))  # admits values >= 0.9
-    assert forward(net, np.zeros(1)) > 0.9  # sigmoid(3 * ~1)
+    assert predict(net, np.zeros((1, 1)))[0] > 0.9  # sigmoid(3 * ~1)
 
 
 def test_drop_forward_is_reproducible_per_seed():
@@ -203,8 +202,6 @@ def test_predict_validates_feature_shape():
     net = Network.zeros(4, 2)
     with pytest.raises(ValueError):
         predict(net, np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        forward(net, np.zeros(5))
     net.set_input_gate(0, 0, GateState.drop())
     with pytest.raises(ValueError, match="rng"):
         predict(net, np.zeros((2, 4)))

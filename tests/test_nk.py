@@ -293,7 +293,7 @@ def test_generate_dataset_targets_match_recovered_bits():
 def test_generate_dataset_shapes_and_validation():
     land = build_landscape(7, 2, 2)
     data = generate_dataset(land, 12, Encoding.CENTER_BAND, np.random.default_rng(0))
-    assert data.size == len(data) == 12
+    assert len(data) == 12
     assert data.n == 7
     assert data.features.shape == (12, 7)
     assert data.targets.shape == (12,)

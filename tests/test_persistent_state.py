@@ -139,8 +139,13 @@ def oracle_score(data, drop_prob, net, state, rng):
     return float(err @ err / err.shape[0])
 
 
+def hidden_matrix(state):
+    """An EvalState's hidden activations as one C-ordered (samples, h) matrix."""
+    return np.array(state.hidden_cols).T.copy()
+
+
 def as_oracle(state):
-    return OracleState(state.det_pre_hidden, state.hidden, state.det_pre_out.copy())
+    return OracleState(state.det_pre_hidden, hidden_matrix(state), state.det_pre_out.copy())
 
 
 def genome_bytes(net):
@@ -184,7 +189,7 @@ def test_column_states_are_bitwise_the_copy_based_oracle(task, variant):
         child_state = evaluator.child_state(state, child, change)
         child_oracle = oracle_child_state(train.features, oracle, child, change)
         assert child_state.det_pre_hidden.tobytes() == child_oracle.det_pre_hidden.tobytes()
-        assert child_state.hidden.tobytes() == child_oracle.hidden.tobytes()
+        assert hidden_matrix(child_state).tobytes() == child_oracle.hidden.tobytes()
         assert child_state.det_pre_out.tobytes() == child_oracle.det_pre_out.tobytes()
         got = evaluator.score(child, child_state, np.random.default_rng(step))
         want = oracle_score(
@@ -203,7 +208,7 @@ def test_state_matrices_are_c_ordered_rebuilds_of_the_columns(task):
     net = seed_population(cfg, train.n, train, np.random.default_rng(61))[0].network
     state = evaluator.full_state(net)
     assert len(state.pre_cols) == len(state.hidden_cols) == net.h
-    for matrix, cols in ((state.det_pre_hidden, state.pre_cols), (state.hidden, state.hidden_cols)):
+    for matrix, cols in ((state.det_pre_hidden, state.pre_cols), (hidden_matrix(state), state.hidden_cols)):
         assert matrix.shape == (len(train), net.h)
         assert matrix.flags.c_contiguous
         for j, col in enumerate(cols):
@@ -270,8 +275,8 @@ def test_the_step_loop_never_deep_copies_a_genome(task, monkeypatch):
 
     monkeypatch.setattr(Network, "copy", refuse)
     for variant in Variant:
-        cfg = EvoConfig(variant=variant, generations=2, p=8, seed=64)
-        trace = run_evolution(cfg, land, train, test)
+        cfg = EvoConfig(variant=variant, generations=2, p=8)
+        trace = run_evolution(cfg, land, train, test, np.random.default_rng(64))
         assert len(trace.records) == 3
 
 
@@ -280,7 +285,7 @@ def test_the_step_loop_never_deep_copies_a_genome(task, monkeypatch):
 )
 def test_incremental_fitness_does_not_drift_from_the_direct_pass(task, variant):
     land, train, test = task
-    cfg = EvoConfig(variant=variant, generations=40, p=10, seed=65)
-    trace = run_evolution(cfg, land, train, test)
+    cfg = EvoConfig(variant=variant, generations=40, p=10)
+    trace = run_evolution(cfg, land, train, test, np.random.default_rng(65))
     drift = abs(trace.records[-1].best_train_mse - mse(trace.final_network, train))
     assert drift <= 1e-12

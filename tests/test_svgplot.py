@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dendrevo import TraceRecord
+from dendrevo.evolve import TraceRecord
 from dendrevo.svgplot import _ticks, sweep_chart, trace_chart
 
 
