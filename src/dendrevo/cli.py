@@ -26,6 +26,7 @@ from .harness import (
     SpecMismatch,
     TRACE_HEADER,
     compare,
+    csv_row,
     format_float,
     read_csv_rows,
     read_trace_rows,
@@ -211,14 +212,6 @@ def _write_text(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _csv_row(*values) -> str:
-    """Enums by value, floats by :func:`format_float`, the rest by str."""
-    return ",".join(
-        v.value if isinstance(v, Enum) else format_float(v) if isinstance(v, float) else str(v)
-        for v in values
-    )
-
-
 def _write_rows(path: Path, header: str, rows: list[str]) -> None:
     _write_text(path, "\n".join([header, *rows]) + "\n")
 
@@ -251,7 +244,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         [(v, run, result[v][run]) for v in spec.variants for run in range(spec.runs)],
     )
     print(f"wrote {trace_path}")
-    summaries = [_csv_row(s.variant, spec.n, spec.k, *astuple(s)[1:]) for s in report.summaries]
+    summaries = [csv_row(s.variant, spec.n, spec.k, *astuple(s)[1:]) for s in report.summaries]
     _write_rows(out / "summary.csv", SUMMARY_HEADER, summaries)
     for s in report.summaries:
         print(
@@ -260,7 +253,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             f"gate_fraction={s.mean_gate_fraction:.6g}"
         )
     if pairwise:
-        pairs = [_csv_row(*astuple(pair)) for pair in report.pairwise]
+        pairs = [csv_row(*astuple(pair)) for pair in report.pairwise]
         _write_rows(out / "compare.csv", COMPARE_HEADER, pairs)
         for pair in report.pairwise:
             print(
@@ -289,7 +282,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for point in points
         for row in point.rows
     ]
-    _write_rows(out / "sweep.csv", SWEEP_HEADER, [_csv_row(*row) for row in rows])
+    _write_rows(out / "sweep.csv", SWEEP_HEADER, [csv_row(*row) for row in rows])
     for point in points:
         for s in point.report.summaries:
             print(

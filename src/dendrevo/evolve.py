@@ -75,8 +75,8 @@ class EvoConfig:
             raise ValueError("population size must be at least 2")
         if self.h < 1:
             raise ValueError("need at least one hidden node")
-        if self.r <= 0:
-            raise ValueError("mutation range half-width must be positive")
+        if not 0.0 < self.r < float("inf"):  # also refuses nan
+            raise ValueError(f"mutation range half-width must be finite and > 0, got {self.r}")
         if self.generations < 0:
             raise ValueError("generations cannot be negative")
         if not 0.0 <= self.dendrite_mutation_prob <= 1.0:
@@ -356,12 +356,11 @@ class EvalState:
 class TrainEvaluator:
     """Incremental MSE evaluation against one fixed dataset.
 
-    ``full_state`` prices a network from scratch; ``child_state`` prices
+    ``full_states`` prices networks from scratch; ``child_state`` prices
     a single-gene mutant from its parent's state in O(samples). ``score``
     turns a state into the MSE, redrawing drop-gate coins per call. The
     direct route (:func:`dendrevo.net.mse`) is the reference; both agree
-    to float rounding, and exactly when no drop gates are involved and
-    the states were built by the same expressions.
+    to float rounding.
     """
 
     def __init__(self, data: Dataset, drop_prob: float = DEFAULT_DROP_PROB):
@@ -369,18 +368,12 @@ class TrainEvaluator:
         self.targets = data.targets
         self.drop_prob = drop_prob
 
-    def full_state(self, net: Network) -> EvalState:
-        return self._finish_state(net, self.features @ net.w_in.T + net.b_hidden)
-
     def full_states(self, nets: list[Network]) -> list[EvalState]:
         """States for a whole population at once.
 
         The input-layer products are fused into one matrix multiply,
         which is what makes per-generation training-set resampling
-        affordable. The fused product can differ from the one-network
-        route in the last float digit (the BLAS kernel depends on the
-        output shape), so a loop that relies on exact fitness ties must
-        price every member through the same route.
+        affordable.
         """
         if not nets:
             return []
@@ -520,8 +513,7 @@ def _record(
     rng: np.random.Generator,
     drop_prob: float,
 ) -> TraceRecord:
-    best_idx = min(range(len(pop)), key=lambda m: pop[m].fitness)
-    best = pop[best_idx]
+    best = min(pop, key=lambda m: m.fitness)
     denom = best.network.param_count
     mean_fraction = float(
         np.mean([member.active_gate_count / denom for member in pop])
@@ -533,6 +525,16 @@ def _record(
         best_gate_fraction=best.active_gate_count / denom,
         mean_gate_fraction=mean_fraction,
     )
+
+
+def _price(pop: Population, train: Dataset, drop_prob: float, rng: np.random.Generator):
+    """Score every member on ``train`` from scratch, in population order;
+    return the evaluator and the members' states."""
+    evaluator = TrainEvaluator(train, drop_prob)
+    states = evaluator.full_states([member.network for member in pop])
+    for member, state in zip(pop, states):
+        member.fitness = evaluator.score(member.network, state, rng)
+    return evaluator, states
 
 
 def run_evolution(
@@ -562,19 +564,13 @@ def run_evolution(
             raise ValueError("training-set resampling needs the landscape")
         landscape = landscape.dense()
 
-    evaluator = TrainEvaluator(train, config.drop_prob)
     pop = seed_population(config, train.n, train, rng)
-    states = evaluator.full_states([member.network for member in pop])
-    for member, state in zip(pop, states):
-        member.fitness = evaluator.score(member.network, state, rng)
+    evaluator, states = _price(pop, train, config.drop_prob, rng)
     records = [_record(pop, 0, test, rng, config.drop_prob)]
     for generation in range(1, config.generations + 1):
         if config.resample_train_each_generation:
             train = generate_dataset(landscape, len(train), train.encoding, rng)
-            evaluator = TrainEvaluator(train, config.drop_prob)
-            states = evaluator.full_states([member.network for member in pop])
-            for idx, member in enumerate(pop):
-                member.fitness = evaluator.score(member.network, states[idx], rng)
+            evaluator, states = _price(pop, train, config.drop_prob, rng)
         for _ in range(config.p):
             parent_idx = tournament_select(pop, rng)
             child_net, change = describe_mutation(

@@ -62,6 +62,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def csv_row(*values) -> str:
+    """Floats by :func:`format_float`, enums by value, the rest by str."""
+    return ",".join([
+        format_float(v) if isinstance(v, float) else v.value if isinstance(v, Enum) else str(v)
+        for v in values
+    ])
+
+
 def derive_seed(master_seed: int, *parts: int) -> int:
     """Collapse a key path into one 64-bit stream seed."""
     entropy = [master_seed & _MASK64] + [int(p) & _MASK64 for p in parts]
@@ -150,23 +158,15 @@ def write_trace_csv(
     path: str | Path, cells: list[tuple[Variant, int, RunTrace]]
 ) -> None:
     """One row per (cell, generation), cells in the given order."""
-    lines = [TRACE_HEADER]
-    for variant, run, trace in cells:
-        for rec in trace.records:
-            lines.append(
-                ",".join(
-                    (
-                        variant.value,
-                        str(run),
-                        str(rec.generation),
-                        format_float(rec.best_train_mse),
-                        format_float(rec.best_test_mse),
-                        format_float(rec.best_gate_fraction),
-                        format_float(rec.mean_gate_fraction),
-                    )
-                )
-            )
-    text = "\n".join(lines) + "\n"
+    rows = (
+        csv_row(
+            variant, run, rec.generation, rec.best_train_mse, rec.best_test_mse,
+            rec.best_gate_fraction, rec.mean_gate_fraction,
+        )
+        for variant, run, trace in cells
+        for rec in trace.records
+    )
+    text = "\n".join([TRACE_HEADER, *rows]) + "\n"
     _atomic_write(Path(path), lambda tmp: tmp.write_text(text))
 
 
@@ -287,13 +287,13 @@ def _load_cached_cell(
 
 
 def _run_and_store(
-    spec: ExperimentSpec, variant: Variant, run: int, runs_dir: str | None
+    spec: ExperimentSpec, variant: Variant, run: int, runs_dir: Path | None
 ) -> RunTrace:
     """Worker entry point; wraps failures with the cell identity."""
     try:
         trace = run_cell(spec, variant, run)
         if runs_dir is not None:
-            csv_path, dnet_path = _cell_paths(Path(runs_dir), variant, run)
+            csv_path, dnet_path = _cell_paths(runs_dir, variant, run)
             # Genome first: the trace file is the completion marker.
             _atomic_write(dnet_path, lambda tmp: save_network(trace.final_network, tmp))
             write_trace_csv(csv_path, [(variant, run, trace)])
@@ -302,6 +302,20 @@ def _run_and_store(
         raise RuntimeError(
             f"run failed (variant={variant.value}, run={run}): {exc}"
         ) from exc
+
+
+def _finish_cells(spec: ExperimentSpec, pending: list, runs_dir: Path | None, workers: int):
+    """Yield ((variant, run), trace) for each pending cell as it finishes:
+    lazily in grid order in this process, or in completion order from a
+    pool of ``workers`` processes when more than one cell is pending."""
+    if workers == 1 or len(pending) <= 1:
+        for variant, run in pending:
+            yield (variant, run), _run_and_store(spec, variant, run, runs_dir)
+        return
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        futures = {pool.submit(_run_and_store, spec, *cell, runs_dir): cell for cell in pending}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
 
 
 def run_experiment(
@@ -341,30 +355,11 @@ def run_experiment(
             else:
                 pending.append((variant, run))
 
-    runs_dir_arg = str(runs_dir) if runs_dir else None
-    if workers == 1 or len(pending) <= 1:
-        for i, (variant, run) in enumerate(pending, start=1):
-            done[(variant, run)] = _run_and_store(spec, variant, run, runs_dir_arg)
-            if log:
-                log(f"finished variant={variant.value} run={run} ({i}/{len(pending)})")
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
-        ) as pool:
-            futures = {
-                pool.submit(_run_and_store, spec, variant, run, runs_dir_arg): (variant, run)
-                for variant, run in pending
-            }
-            finished = 0
-            for future in as_completed(futures):
-                variant, run = futures[future]
-                done[(variant, run)] = future.result()
-                finished += 1
-                if log:
-                    log(
-                        f"finished variant={variant.value} run={run} "
-                        f"({finished}/{len(pending)})"
-                    )
+    finished = _finish_cells(spec, pending, runs_dir, workers)
+    for count, ((variant, run), trace) in enumerate(finished, start=1):
+        done[(variant, run)] = trace
+        if log:
+            log(f"finished variant={variant.value} run={run} ({count}/{len(pending)})")
     return {
         variant: [done[(variant, run)] for run in range(spec.runs)]
         for variant in spec.variants
@@ -401,16 +396,9 @@ def welch_t_test(a, b) -> tuple[float, float]:
     return float(t), p
 
 
-def final_test_errors(traces: list[RunTrace]) -> np.ndarray:
-    return np.array([t.records[-1].best_test_mse for t in traces])
-
-
-def final_train_errors(traces: list[RunTrace]) -> np.ndarray:
-    return np.array([t.records[-1].best_train_mse for t in traces])
-
-
-def final_gate_fractions(traces: list[RunTrace]) -> np.ndarray:
-    return np.array([t.records[-1].best_gate_fraction for t in traces])
+def final_values(traces: list[RunTrace], field: str) -> np.ndarray:
+    """Each run's last trace record's ``field``, e.g. ``"best_test_mse"``."""
+    return np.array([getattr(t.records[-1], field) for t in traces])
 
 
 @dataclass(frozen=True)
@@ -441,7 +429,7 @@ class ComparisonReport:
 
 
 def summarize(variant: Variant, traces: list[RunTrace]) -> VariantSummary:
-    errs = final_test_errors(traces)
+    errs = final_values(traces, "best_test_mse")
     return VariantSummary(
         variant=variant,
         runs=len(traces),
@@ -449,7 +437,7 @@ def summarize(variant: Variant, traces: list[RunTrace]) -> VariantSummary:
         std_test_mse=float(errs.std(ddof=1)) if len(errs) > 1 else 0.0,
         min_test_mse=float(errs.min()),
         max_test_mse=float(errs.max()),
-        mean_gate_fraction=float(final_gate_fractions(traces).mean()),
+        mean_gate_fraction=float(final_values(traces, "best_gate_fraction").mean()),
     )
 
 
@@ -459,7 +447,8 @@ def compare(result: ExperimentResult) -> ComparisonReport:
     summaries = [summarize(v, traces) for v, traces in result.items()]
     pairwise = []
     for va, vb in combinations(result.keys(), 2):
-        ea, eb = final_test_errors(result[va]), final_test_errors(result[vb])
+        ea = final_values(result[va], "best_test_mse")
+        eb = final_values(result[vb], "best_test_mse")
         t, p = welch_t_test(ea, eb)
         pairwise.append(
             PairwiseResult(va, vb, float(ea.mean()), float(eb.mean()), t, p)
@@ -504,7 +493,7 @@ def ablation_study(spec: ExperimentSpec, result: ExperimentResult) -> AblationRe
         ablated.append(mse(ablate_output_gates(net), test))
     gated_arr = np.array(gated)
     ablated_arr = np.array(ablated)
-    standard = final_test_errors(result[Variant.STANDARD])
+    standard = final_values(result[Variant.STANDARD], "best_test_mse")
     tg, pg = welch_t_test(gated_arr, standard)
     ta, pa = welch_t_test(ablated_arr, standard)
     return AblationReport(
@@ -565,11 +554,8 @@ def sweep_n(
         result = run_experiment(cell_spec, out_dir=sub_dir, workers=workers, log=log)
         rows = []
         for variant in cell_spec.variants:
-            for split, extract in (
-                ("train", final_train_errors),
-                ("test", final_test_errors),
-            ):
-                errs = extract(result[variant])
+            for split in ("train", "test"):
+                errs = final_values(result[variant], f"best_{split}_mse")
                 rows.append(
                     SweepRow(
                         n=n,

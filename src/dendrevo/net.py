@@ -44,14 +44,14 @@ class GateKind(IntEnum):
 # and, compared with an array, takes NumPy's slow enum path.
 INACTIVE, LOWER, UPPER, RANGE, DROP = (kind.value for kind in GateKind)
 
-_GATE_TAGS = {
-    GateKind.INACTIVE: "I",
-    GateKind.LOWER: "L",
-    GateKind.UPPER: "U",
-    GateKind.RANGE: "R",
-    GateKind.DROP: "D",
+# Each kind's .dnet tag and how many parameters (a, then b) follow it.
+_DNET_GATES = {
+    GateKind.INACTIVE: ("I", 0),
+    GateKind.LOWER: ("L", 1),
+    GateKind.UPPER: ("U", 1),
+    GateKind.RANGE: ("R", 2),
+    GateKind.DROP: ("D", 0),
 }
-_TAG_KINDS = {v: k for k, v in _GATE_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -366,13 +366,15 @@ def ablate_output_gates(net: Network) -> Network:
     return out
 
 
-def _gate_tokens(gate: GateState) -> list[str]:
-    tag = _GATE_TAGS[gate.kind]
-    if gate.kind in (GateKind.LOWER, GateKind.UPPER):
-        return [tag, f"{gate.a:.17g}"]
-    if gate.kind is GateKind.RANGE:
-        return [tag, f"{gate.a:.17g}", f"{gate.b:.17g}"]
-    return [tag]
+def _gated_lines(prefix: str, weights, kinds, a, b) -> list[str]:
+    """``prefix``, source index, weight and gate for each connection."""
+    lines = []
+    for i, (w, kind, ai, bi) in enumerate(zip(weights, kinds, a, b)):
+        tag, count = _DNET_GATES[kind]
+        if count:  # most gates are inactive and take no parameters
+            tag += "".join(f" {p:.17g}" for p in (ai, bi)[:count])
+        lines.append(f"{prefix}{i} {w:.17g} {tag}")
+    return lines
 
 
 def save_network(net: Network, path: str | Path) -> None:
@@ -385,83 +387,71 @@ def save_network(net: Network, path: str | Path) -> None:
     always ungated.
     """
     lines = [f"DNET 1 {net.n} {net.h}"]
-    kinds = net.gate_kind_in.tolist()
-    for j, row in enumerate(net.w_in.tolist()):
-        for i, w in enumerate(row):
-            # No GateState for an inactive gate: it is most lines at n=1000.
-            gate = " ".join(_gate_tokens(net.input_gate(j, i))) if kinds[j][i] else "I"
-            lines.append(f"0 {j} {i} {w:.17g} {gate}")
+    layer_in = (net.w_in, net.gate_kind_in, net.gate_a_in, net.gate_b_in)
+    for j, row in enumerate(zip(*(m.tolist() for m in layer_in))):
+        lines += _gated_lines(f"0 {j} ", *row)
         lines.append(f"0 {j} -1 {net.b_hidden[j]:.17g} I")
-    for j in range(net.h):
-        tokens = ["1", "0", str(j), f"{net.w_out[j]:.17g}"]
-        tokens.extend(_gate_tokens(net.output_gate(j)))
-        lines.append(" ".join(tokens))
+    layer_out = (net.w_out, net.gate_kind_out, net.gate_a_out, net.gate_b_out)
+    lines += _gated_lines("1 0 ", *(m.tolist() for m in layer_out))
     lines.append(f"1 0 -1 {net.b_out:.17g} I")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_gate(tokens: list[str], line_no: int) -> GateState:
-    if not tokens or tokens[0] not in _TAG_KINDS:
-        raise ValueError(f"line {line_no}: missing or unknown gate tag")
-    kind = _TAG_KINDS[tokens[0]]
-    params = tokens[1:]
-    try:
-        if kind in (GateKind.LOWER, GateKind.UPPER):
-            (a,) = params
-            return GateState(kind, float(a))
-        if kind is GateKind.RANGE:
-            a, b = params
-            return GateState(kind, float(a), float(b))
-        if params:
-            raise ValueError
-        return GateState(kind)
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: bad gate parameters {params}") from exc
+def _parse_gate(tokens: list[str]) -> GateState:
+    for kind, (tag, count) in _DNET_GATES.items():
+        if tokens[0] == tag and len(tokens) == count + 1:
+            return GateState(kind, *map(float, tokens[1:]))
+    raise ValueError(f"bad gate {' '.join(tokens)!r}")
 
 
 def load_network(path: str | Path) -> Network:
-    """Parse a genome export written by :func:`save_network`."""
+    """Parse a genome export written by :func:`save_network`; an error
+    names its line. Weights and biases must be finite."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty genome file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "DNET" or header[1] != "1":
-        raise ValueError(f"bad genome header: {lines[0]!r}")
-    n, h = int(header[2]), int(header[3])
-    net = Network.zeros(n, h)
+    line_no, header = lines[0]
     seen = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        if len(tokens) < 5:
-            raise ValueError(f"line {line_no}: too few fields")
-        layer, to, frm = int(tokens[0]), int(tokens[1]), int(tokens[2])
-        weight = float(tokens[3])
-        gate = _parse_gate(tokens[4:], line_no)
-        key = (layer, to, frm)
-        if key in seen:
-            raise ValueError(f"line {line_no}: duplicate parameter {key}")
-        seen.add(key)
-        if frm == -1 and gate.kind is not GateKind.INACTIVE:
-            raise ValueError(f"line {line_no}: biases cannot carry gates")
-        if layer == 0:
-            if not 0 <= to < h or not -1 <= frm < n:
-                raise ValueError(f"line {line_no}: index out of range")
-            if frm == -1:
-                net.b_hidden[to] = weight
+    try:
+        if len(header) != 4 or header[:2] != ["DNET", "1"]:
+            raise ValueError(f"bad genome header {' '.join(header)!r}")
+        n, h = int(header[2]), int(header[3])
+        net = Network.zeros(n, h)
+        for line_no, tokens in lines[1:]:
+            if len(tokens) < 5:
+                raise ValueError("too few fields")
+            layer, to, frm = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            weight = float(tokens[3])
+            if not math.isfinite(weight):
+                raise ValueError(f"weight {tokens[3]} is not finite")
+            gate = _parse_gate(tokens[4:])
+            key = (layer, to, frm)
+            if key in seen:
+                raise ValueError(f"duplicate parameter {key}")
+            seen.add(key)
+            if frm == -1 and gate.kind is not GateKind.INACTIVE:
+                raise ValueError("biases cannot carry gates")
+            if layer == 0:
+                if not 0 <= to < h or not -1 <= frm < n:
+                    raise ValueError("index out of range")
+                if frm == -1:
+                    net.b_hidden[to] = weight
+                else:
+                    net.w_in[to, frm] = weight
+                    net.set_input_gate(to, frm, gate)
+            elif layer == 1:
+                if to != 0 or not -1 <= frm < h:
+                    raise ValueError("index out of range")
+                if frm == -1:
+                    net.b_out = weight
+                else:
+                    net.w_out[frm] = weight
+                    net.set_output_gate(frm, gate)
             else:
-                net.w_in[to, frm] = weight
-                net.set_input_gate(to, frm, gate)
-        elif layer == 1:
-            if to != 0 or not -1 <= frm < h:
-                raise ValueError(f"line {line_no}: index out of range")
-            if frm == -1:
-                net.b_out = weight
-            else:
-                net.w_out[frm] = weight
-                net.set_output_gate(frm, gate)
-        else:
-            raise ValueError(f"line {line_no}: unknown layer {layer}")
+                raise ValueError(f"unknown layer {layer}")
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: {exc}") from None
     if len(seen) != net.param_count:
         raise ValueError(
             f"genome file defines {len(seen)} parameters, expected {net.param_count}"

@@ -211,6 +211,16 @@ def test_drop_prob_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
     assert "drop_prob" in capsys.readouterr().err
 
 
+def test_non_finite_mutation_range_is_a_usage_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "never"
+    for bad in ("nan", "inf"):
+        assert main(["run", *TINY, "--mutation-range", bad, "--out", str(out)]) == 2
+        assert "mutation range" in capsys.readouterr().err
+    assert not out.exists()
+    # Nothing locked the directory: a valid run may still use it.
+    assert main(["run", *TINY, "--out", str(out)]) == 0
+
+
 # Fields the settings table leaves out: each cell's variant comes from
 # --variant (run) or --variants (compare).
 SET_PER_CELL = {"config.variant", "variants"}

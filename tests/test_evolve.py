@@ -69,8 +69,9 @@ def test_config_validation():
         EvoConfig(p=1)
     with pytest.raises(ValueError):
         EvoConfig(h=0)
-    with pytest.raises(ValueError):
-        EvoConfig(r=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mutation range"):
+            EvoConfig(r=bad)
     with pytest.raises(ValueError):
         EvoConfig(generations=-1)
     with pytest.raises(ValueError):
@@ -326,7 +327,7 @@ def test_incremental_evaluator_tracks_direct_route(task, variant):
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     rng = np.random.default_rng(40)
     net = seed_population(cfg, train.n, train, rng)[0].network
-    state = evaluator.full_state(net)
+    state = evaluator.full_states([net])[0]
     for step in range(300):
         net, change = describe_mutation(net, cfg, rng)
         state = evaluator.child_state(state, net, change)
@@ -334,7 +335,7 @@ def test_incremental_evaluator_tracks_direct_route(task, variant):
             direct = mse(net, train, np.random.default_rng(step), cfg.drop_prob)
             cached = evaluator.score(net, state, np.random.default_rng(step))
             assert cached == pytest.approx(direct, abs=1e-9)
-    fresh = evaluator.full_state(net)
+    fresh = evaluator.full_states([net])[0]
     assert np.allclose(fresh.det_pre_hidden, state.det_pre_hidden, atol=1e-9)
     assert np.allclose(fresh.det_pre_out, state.det_pre_out, atol=1e-9)
 
@@ -345,7 +346,7 @@ def test_incremental_evaluator_is_bitwise_for_gateless_networks(task):
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     pop = seed_population(cfg, train.n, train, np.random.default_rng(41))
     for member in pop[:5]:
-        state = evaluator.full_state(member.network)
+        state = evaluator.full_states([member.network])[0]
         assert evaluator.score(member.network, state) == mse(member.network, train)
 
 
@@ -357,7 +358,7 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
     rng = np.random.default_rng(42)
     net = seed_population(cfg, train.n, train, rng)[0].network
     net.set_input_gate(1, 3, GateState.lower(-2.0))  # inputs never reach -2
-    state = evaluator.full_state(net)
+    state = evaluator.full_states([net])[0]
     child = net.copy()
     child.set_input_gate(1, 3, GateState.inactive())
     change = GateChange(False, 1, 3, GateState.lower(-2.0), GateState.inactive())
@@ -370,7 +371,7 @@ def test_evaluator_drop_gates_need_rng(task):
     evaluator = TrainEvaluator(train)
     net = Network.zeros(train.n, 2)
     net.set_input_gate(0, 0, GateState.drop())
-    state = evaluator.full_state(net)
+    state = evaluator.full_states([net])[0]
     with pytest.raises(ValueError, match="rng"):
         evaluator.score(net, state)
 
@@ -385,7 +386,7 @@ def test_evaluator_drop_coins_align_with_direct_route(task):
     for i in range(6):
         net.set_input_gate(i % 10, i, GateState.drop())
     net.set_output_gate(2, GateState.drop())
-    state = evaluator.full_state(net)
+    state = evaluator.full_states([net])[0]
     cached = evaluator.score(net, state, np.random.default_rng(77))
     direct = mse(net, train, np.random.default_rng(77), cfg.drop_prob)
     assert cached == pytest.approx(direct, abs=1e-12)

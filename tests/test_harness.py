@@ -18,7 +18,7 @@ from dendrevo.harness import (
     ablation_study,
     compare,
     derive_seed,
-    final_test_errors,
+    final_values,
     format_float,
     read_trace_rows,
     run_cell,
@@ -322,13 +322,36 @@ def test_cells_without_a_manifest_are_refused(tmp_path):
 
 def test_run_experiment_workers_match_sequential(tmp_path):
     spec = tiny_spec()
-    sequential = run_experiment(spec)
-    parallel = run_experiment(spec, workers=2)
+    logs = {1: [], 2: []}
+    results = {
+        workers: run_experiment(
+            spec, out_dir=tmp_path / f"w{workers}", workers=workers, log=logs[workers].append
+        )
+        for workers in (1, 2)
+    }
     for variant in spec.variants:
-        for a, b in zip(sequential[variant], parallel[variant]):
-            assert [r.best_test_mse for r in a.records] == [
-                r.best_test_mse for r in b.records
-            ]
+        for a, b in zip(results[1][variant], results[2][variant]):
+            assert a.records == b.records
+    files = {
+        workers: {
+            p.relative_to(tmp_path / f"w{workers}"): p.read_bytes()
+            for p in sorted((tmp_path / f"w{workers}").rglob("*"))
+            if p.is_file()
+        }
+        for workers in (1, 2)
+    }
+    assert len(files[1]) == 1 + 2 * len(spec.variants) * spec.runs  # manifest, cells
+    assert files[1] == files[2]
+    # Each pending cell is logged once, counted 1..N; one worker goes in grid order.
+    cells = [(v.value, run) for v in spec.variants for run in range(spec.runs)]
+    total = len(cells)
+    assert logs[1] == [
+        f"finished variant={name} run={run} ({i}/{total})"
+        for i, (name, run) in enumerate(cells, start=1)
+    ]
+    cell_logs, counts = zip(*(line.rsplit(" (", 1) for line in logs[2]))
+    assert counts == tuple(f"{i}/{total})" for i in range(1, total + 1))
+    assert sorted(cell_logs) == sorted(line.rsplit(" (", 1)[0] for line in logs[1])
     with pytest.raises(ValueError):
         run_experiment(spec, workers=0)
 
@@ -385,7 +408,7 @@ def test_ablation_study_mechanics(tmp_path):
     assert report.ablated_test_mse.shape == (3,)
     assert report.standard_test_mse.shape == (3,)
     assert np.array_equal(
-        report.standard_test_mse, final_test_errors(result[Variant.STANDARD])
+        report.standard_test_mse, final_values(result[Variant.STANDARD], "best_test_mse")
     )
     # recompute one gated/ablated pair by hand from the cell's own task
     from dendrevo.harness import _cell_seeds

@@ -350,3 +350,29 @@ def test_load_network_rejects_malformed_files(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_network(empty)
+
+    # Weights and biases must be finite; the error names the line.
+    for bad in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / f"weight_{bad}.dnet"
+        non_finite.write_text(text.replace("0 0 0 0 I", f"0 0 0 {bad} I", 1))
+        with pytest.raises(ValueError, match="line 2: weight"):
+            load_network(non_finite)
+        non_finite.write_text(text.replace("0 0 -1 0 I", f"0 0 -1 {bad} I", 1))
+        with pytest.raises(ValueError, match="line 4: weight"):
+            load_network(non_finite)
+
+    # Every parse error names its line, counting blank lines too.
+    bad_int = tmp_path / "bad_int.dnet"
+    bad_int.write_text(text.replace("0 0 1 0 I", "0 x 1 0 I", 1))
+    with pytest.raises(ValueError, match="line 3: invalid literal"):
+        load_network(bad_int)
+    bad_header_int = tmp_path / "bad_header_int.dnet"
+    bad_header_int.write_text(text.replace("DNET 1 2 1", "DNET 1 2 x", 1))
+    with pytest.raises(ValueError, match="line 1: invalid literal"):
+        load_network(bad_header_int)
+    with pytest.raises(ValueError, match="line 2: bad gate 'L'"):
+        load_network(bad_gate)
+    blank_first = tmp_path / "blank_first.dnet"
+    blank_first.write_text("\n" + bad_gate.read_text())
+    with pytest.raises(ValueError, match="line 3: bad gate"):
+        load_network(blank_first)

@@ -179,7 +179,7 @@ def test_column_states_are_bitwise_the_copy_based_oracle(task, variant):
             # 8 or more dropped terms in one output sum fix its layout
             for j in range(cfg.h):
                 member.network.set_output_gate(j, GateState.drop())
-        state = evaluator.full_state(member.network)
+        state = evaluator.full_states([member.network])[0]
         pop.append((member.network, state, as_oracle(state)))
     gate_changes = 0
     for step in range(400):
@@ -206,7 +206,7 @@ def test_state_matrices_are_c_ordered_rebuilds_of_the_columns(task):
     cfg = EvoConfig(variant=Variant.DENDRITE_RANGE)
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     net = seed_population(cfg, train.n, train, np.random.default_rng(61))[0].network
-    state = evaluator.full_state(net)
+    state = evaluator.full_states([net])[0]
     assert len(state.pre_cols) == len(state.hidden_cols) == net.h
     for matrix, cols in ((state.det_pre_hidden, state.pre_cols), (hidden_matrix(state), state.hidden_cols)):
         assert matrix.shape == (len(train), net.h)
@@ -224,7 +224,7 @@ def test_descendants_never_change_their_ancestors(task, variant):
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     rng = np.random.default_rng(62)
     net = seed_population(cfg, train.n, train, rng)[0].network
-    state = evaluator.full_state(net)
+    state = evaluator.full_states([net])[0]
     chain = [(net, state, genome_bytes(net), state_bytes(state))]
     for _ in range(300):
         net, change = describe_mutation(net, cfg, rng)
@@ -241,7 +241,7 @@ def test_children_share_what_their_mutation_does_not_write(task):
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     rng = np.random.default_rng(63)
     parent = seed_population(cfg, train.n, train, rng)[0].network
-    parent_state = evaluator.full_state(parent)
+    parent_state = evaluator.full_states([parent])[0]
     for _ in range(200):
         child, change = describe_mutation(parent, cfg, rng)
         written = {
