@@ -22,9 +22,12 @@ import numpy as np
 
 from .evolve import EvoConfig, Variant
 from .harness import (
-    ExperimentSpec,
-    SpecMismatch,
     TRACE_HEADER,
+    ExperimentSpec,
+    PairwiseResult,
+    SpecMismatch,
+    SweepRow,
+    VariantSummary,
     compare,
     csv_row,
     format_float,
@@ -32,6 +35,8 @@ from .harness import (
     read_trace_rows,
     run_experiment,
     sweep_n,
+    write_atomic,
+    write_csv,
     write_trace_csv,
 )
 from .net import count_active_gates, gate_fraction, load_network
@@ -39,12 +44,12 @@ from . import svgplot
 
 ENV_SEED = "DENDREVO_SEED"
 
-SUMMARY_HEADER = (
-    "variant,n,k,runs,mean_test_mse,std_test_mse,min_test_mse,"
-    "max_test_mse,mean_gate_fraction"
-)
-COMPARE_HEADER = "variant_a,variant_b,mean_a,mean_b,t_statistic,p_value"
-SWEEP_HEADER = "n,variant,split,mean,min,max"
+# Each report's columns are its dataclass's fields; summary.csv adds the
+# grid's n and k after the variant.
+SUMMARY_HEADER = ",".join(["variant", "n", "k", *(f.name for f in fields(VariantSummary)[1:])])
+COMPARE_HEADER = ",".join(f.name for f in fields(PairwiseResult))
+SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
+_SWEEP_CASTS = (int, str, str, float, float, float)
 
 
 class UsageError(Exception):
@@ -208,12 +213,13 @@ def _settings(
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text)
+    write_atomic(path, text)
     print(f"wrote {path}")
 
 
 def _write_rows(path: Path, header: str, rows: list[str]) -> None:
-    _write_text(path, "\n".join([header, *rows]) + "\n")
+    write_csv(path, header, rows)
+    print(f"wrote {path}")
 
 
 def _log(message: str) -> None:
@@ -277,20 +283,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     out = Path(opts.out)  # run_experiment creates it
     points = sweep_n(spec, n_values, out_dir=out, workers=opts.workers, log=_log)
-    rows = [
-        (row.n, row.variant.value, row.split, row.mean, row.min, row.max)
-        for point in points
-        for row in point.rows
-    ]
-    _write_rows(out / "sweep.csv", SWEEP_HEADER, [csv_row(*row) for row in rows])
+    rows = [csv_row(*astuple(row)) for point in points for row in point.rows]
+    _write_rows(out / "sweep.csv", SWEEP_HEADER, rows)
     for point in points:
         for s in point.report.summaries:
             print(
                 f"n={point.n} {s.variant.value}: mean_test_mse={s.mean_test_mse:.6g} "
                 f"min={s.min_test_mse:.6g} max={s.max_test_mse:.6g}"
             )
-    if opts.plot:
-        _write_text(out / "sweep.svg", svgplot.sweep_chart(rows))
+    if opts.plot:  # drawn from the file, as trace.svg and plot are
+        table = read_csv_rows(out / "sweep.csv", SWEEP_HEADER, _SWEEP_CASTS)
+        _write_text(out / "sweep.svg", svgplot.sweep_chart(table))
     return 0
 
 
@@ -302,8 +305,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     if header == [TRACE_HEADER]:
         rows, chart = read_trace_rows(src), svgplot.trace_chart
     elif header == [SWEEP_HEADER]:
-        casts = (int, str, str, float, float, float)
-        rows, chart = read_csv_rows(src, SWEEP_HEADER, casts), svgplot.sweep_chart
+        rows, chart = read_csv_rows(src, SWEEP_HEADER, _SWEEP_CASTS), svgplot.sweep_chart
     else:
         raise ValueError(f"{src}: unrecognized header; expected a trace or sweep CSV")
     if not rows:

@@ -40,7 +40,6 @@ from .net import (
     blocked_matrix,
     count_active_gates,
     mse,
-    retract_blocked,
     retract_input_gates,
 )
 from .nk import Dataset, NKLandscape, generate_dataset
@@ -75,8 +74,8 @@ class EvoConfig:
             raise ValueError("population size must be at least 2")
         if self.h < 1:
             raise ValueError("need at least one hidden node")
-        if not 0.0 < self.r < float("inf"):  # also refuses nan
-            raise ValueError(f"mutation range half-width must be finite and > 0, got {self.r}")
+        if not 0.0 < 2 * self.r < float("inf"):  # uniform(-r, r) needs 2r finite; nan fails
+            raise ValueError(f"mutation range half-width must be > 0 with 2r finite, got {self.r}")
         if self.generations < 0:
             raise ValueError("generations cannot be negative")
         if not 0.0 <= self.dendrite_mutation_prob <= 1.0:
@@ -227,15 +226,6 @@ def _mutate_active_gate(gate: GateState, r: float, rng: np.random.Generator) -> 
     raise ValueError("cannot mutate an inactive gate here")
 
 
-def _child(parent: Network, *written: str) -> Network:
-    """A genome sharing every array of ``parent`` except the ``written``
-    fields, which it copies, so writing them leaves the parent intact."""
-    child = Network(*(getattr(parent, name) for name in Network.__slots__))
-    for name in written:
-        setattr(child, name, getattr(parent, name).copy())
-    return child
-
-
 def describe_mutation(
     parent: Network, config: EvoConfig, rng: np.random.Generator
 ) -> tuple[Network, MutationRecord]:
@@ -261,27 +251,27 @@ def describe_mutation(
         else:
             new = _mutate_active_gate(old, config.r, rng)
         if output_layer:
-            child = _child(parent, "gate_kind_out", "gate_a_out", "gate_b_out")
+            child = parent.child("gate_kind_out", "gate_a_out", "gate_b_out")
             child.set_output_gate(j, new)
         else:
-            child = _child(parent, "gate_kind_in", "gate_a_in", "gate_b_in")
+            child = parent.child("gate_kind_in", "gate_a_in", "gate_b_in")
             child.set_input_gate(j, i, new)
         return child, GateChange(output_layer, j, i, old, new)
     param_idx = int(rng.integers(0, parent.param_count))
     delta = float(rng.uniform(-config.r, config.r))
     if param_idx < n * h:
         j, i = divmod(param_idx, n)
-        child = _child(parent, "w_in")
+        child = parent.child("w_in")
         child.w_in[j, i] += delta
         return child, WeightChange(_FIELD_W_IN, j, i, delta)
     # Past the input weights come h biases, h output weights, the output bias.
     kind, j = divmod(param_idx - n * h + h, h)
     if kind == _FIELD_B_OUT:
-        child = _child(parent)
+        child = parent.child()
         child.b_out += delta
     else:
         name = "b_hidden" if kind == _FIELD_B_HIDDEN else "w_out"
-        child = _child(parent, name)
+        child = parent.child(name)
         getattr(child, name)[j] += delta
     return child, WeightChange(kind, j, 0, delta)
 
@@ -462,12 +452,8 @@ class TrainEvaluator:
             raise ValueError("a DROP gate needs an rng to flip its coins")
         hidden_cols, pre_out = state.hidden_cols, state.det_pre_out
         if drop_in.size:
-            nodes, inputs = np.divmod(drop_in, net.n)
             pre_hidden = state.det_pre_hidden  # a fresh C-ordered matrix
-            blocked = rng.random((len(self.targets), drop_in.size)) < self.drop_prob
-            w = net.w_in.reshape(-1)[drop_in]
-            values = np.take(self.features, inputs, axis=1)
-            retract_blocked(pre_hidden, values, w, blocked, nodes)
+            retract_input_gates(net, pre_hidden, self.features, drop_in, rng, self.drop_prob)
             hidden = expit(pre_hidden)
             hidden_cols = hidden.T
             pre_out = _det_pre_out(net, hidden)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace as dc_replace
 from enum import Enum
 from itertools import combinations
 from multiprocessing import get_context
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -27,10 +28,8 @@ from .evolve import EvoConfig, RunTrace, TraceRecord, Variant, run_evolution
 from .net import ablate_output_gates, load_network, mse, save_network
 from .nk import Encoding, build_landscape, generate_dataset, generate_datasets
 
-TRACE_HEADER = (
-    "variant,run,generation,best_train_mse,best_test_mse,"
-    "best_gate_fraction,mean_gate_fraction"
-)
+TRACE_HEADER = ",".join(["variant", "run", *(f.name for f in fields(TraceRecord))])
+_record_values = attrgetter(*(f.name for f in fields(TraceRecord)))
 
 # Entropy tags for per-cell stream derivation. A cell's streams are keyed
 # by (master, n, k, variant code, run index, tag); the landscape tag is
@@ -154,20 +153,26 @@ def _atomic_write(path: Path, write: Callable[[Path], None]) -> None:
         raise
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` by way of a temp file and a rename; every
+    file the package writes besides the genome goes through here."""
+    _atomic_write(Path(path), lambda tmp: tmp.write_text(text))
+
+
+def write_csv(path: str | Path, header: str, rows) -> None:
+    """``header``, then one line per already formatted row."""
+    write_atomic(path, "\n".join([header, *rows]) + "\n")
+
+
 def write_trace_csv(
     path: str | Path, cells: list[tuple[Variant, int, RunTrace]]
 ) -> None:
     """One row per (cell, generation), cells in the given order."""
-    rows = (
-        csv_row(
-            variant, run, rec.generation, rec.best_train_mse, rec.best_test_mse,
-            rec.best_gate_fraction, rec.mean_gate_fraction,
-        )
-        for variant, run, trace in cells
-        for rec in trace.records
-    )
-    text = "\n".join([TRACE_HEADER, *rows]) + "\n"
-    _atomic_write(Path(path), lambda tmp: tmp.write_text(text))
+    rows = []
+    for variant, run, trace in cells:
+        prefix = csv_row(variant, run, "")  # "variant,run," once per cell
+        rows += [prefix + csv_row(*_record_values(rec)) for rec in trace.records]
+    write_csv(path, TRACE_HEADER, rows)
 
 
 def read_csv_rows(path: str | Path, header: str, casts) -> list[tuple]:
@@ -238,9 +243,7 @@ def _check_manifest(out_dir: Path, spec: ExperimentSpec) -> None:
                 f"{out_dir} holds cells but no manifest.json to match them to "
                 "this experiment; use a fresh --out"
             )
-        # Written before any cell, so a torn write only leaves a manifest
-        # that the next run refuses as unreadable.
-        path.write_text(json.dumps(want, indent=2, sort_keys=True) + "\n")
+        write_atomic(path, json.dumps(want, indent=2, sort_keys=True) + "\n")
         return
     try:
         have = json.loads(path.read_text())

@@ -178,12 +178,13 @@ class Network:
         """Connections that can carry a gate (biases cannot)."""
         return self.n * self.h + self.h
 
-    def copy(self) -> "Network":
-        return Network(
-            self.w_in.copy(), self.b_hidden.copy(), self.w_out.copy(), self.b_out,
-            self.gate_kind_in.copy(), self.gate_a_in.copy(), self.gate_b_in.copy(),
-            self.gate_kind_out.copy(), self.gate_a_out.copy(), self.gate_b_out.copy(),
-        )
+    def child(self, *written: str) -> "Network":
+        """A genome sharing every array of this one except the ``written``
+        fields, which it copies, so writing them leaves this one intact."""
+        child = Network(*(getattr(self, name) for name in Network.__slots__))
+        for name in written:
+            setattr(child, name, getattr(self, name).copy())
+        return child
 
     def input_gate(self, j: int, i: int) -> GateState:
         kind, a, b = self.gate_kind_in[j, i], self.gate_a_in[j, i], self.gate_b_in[j, i]
@@ -231,15 +232,19 @@ def blocked_matrix(
     with the open sides at infinity. DROP coins are one uniform block
     over the drop gates in the given order; a coin below drop_prob blocks.
     """
-    lo = np.where(kinds == UPPER, -np.inf, a)
-    hi = np.where(kinds == RANGE, b, a)
-    hi[kinds == LOWER] = np.inf
-    blocked = (values < lo) | (values > hi)
     drops = np.flatnonzero(kinds == DROP)
     if drops.size:
         if rng is None:
             raise ValueError("a DROP gate needs an rng to flip its coins")
-        blocked[:, drops] = rng.random((values.shape[0], drops.size)) < drop_prob
+        coins = rng.random((values.shape[0], drops.size)) < drop_prob
+        if drops.size == kinds.size:
+            return coins  # drop gates only: the coins are the whole mask
+    lo = np.where(kinds == UPPER, -np.inf, a)
+    hi = np.where(kinds == RANGE, b, a)
+    hi[kinds == LOWER] = np.inf
+    blocked = (values < lo) | (values > hi)
+    if drops.size:
+        blocked[:, drops] = coins
     return blocked
 
 
@@ -359,7 +364,7 @@ def gate_fraction(net: Network) -> float:
 
 def ablate_output_gates(net: Network) -> Network:
     """Copy of the network with every hidden-to-output gate disabled."""
-    out = net.copy()
+    out = net.child("gate_kind_out", "gate_a_out", "gate_b_out")
     out.gate_kind_out[:] = GateKind.INACTIVE
     out.gate_a_out[:] = 0.0
     out.gate_b_out[:] = 0.0
@@ -425,12 +430,13 @@ def load_network(path: str | Path) -> Network:
             weight = float(tokens[3])
             if not math.isfinite(weight):
                 raise ValueError(f"weight {tokens[3]} is not finite")
-            gate = _parse_gate(tokens[4:])
+            # Most lines carry a bare inactive tag, which Network.zeros already holds.
+            gate = None if tokens[4:] == ["I"] else _parse_gate(tokens[4:])
             key = (layer, to, frm)
             if key in seen:
                 raise ValueError(f"duplicate parameter {key}")
             seen.add(key)
-            if frm == -1 and gate.kind is not GateKind.INACTIVE:
+            if frm == -1 and gate is not None:
                 raise ValueError("biases cannot carry gates")
             if layer == 0:
                 if not 0 <= to < h or not -1 <= frm < n:
@@ -439,7 +445,8 @@ def load_network(path: str | Path) -> Network:
                     net.b_hidden[to] = weight
                 else:
                     net.w_in[to, frm] = weight
-                    net.set_input_gate(to, frm, gate)
+                    if gate is not None:
+                        net.set_input_gate(to, frm, gate)
             elif layer == 1:
                 if to != 0 or not -1 <= frm < h:
                     raise ValueError("index out of range")
@@ -447,7 +454,8 @@ def load_network(path: str | Path) -> Network:
                     net.b_out = weight
                 else:
                     net.w_out[frm] = weight
-                    net.set_output_gate(frm, gate)
+                    if gate is not None:
+                        net.set_output_gate(frm, gate)
             else:
                 raise ValueError(f"unknown layer {layer}")
     except ValueError as exc:

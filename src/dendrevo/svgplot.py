@@ -139,26 +139,19 @@ def trace_chart(rows, title: str = "error and gate use by generation") -> str:
     rows = list(rows)
     if not rows:
         raise ValueError("no data rows to plot")
-    variants: list[str] = []
-    by_gen: dict[str, dict[int, list[float]]] = defaultdict(lambda: defaultdict(list))
-    frac_by_gen: dict[str, dict[int, list[float]]] = defaultdict(lambda: defaultdict(list))
+    # variant -> generation -> ([test MSE], [gate fraction]), variants in first-seen order
+    by_gen = defaultdict(lambda: defaultdict(lambda: ([], [])))
     for variant, _run, rec in rows:
-        if variant not in variants:
-            variants.append(variant)
-        by_gen[variant][rec.generation].append(rec.best_test_mse)
-        frac_by_gen[variant][rec.generation].append(rec.best_gate_fraction)
+        mses, fracs = by_gen[variant][rec.generation]
+        mses.append(rec.best_test_mse)
+        fracs.append(rec.best_gate_fraction)
 
     series: dict[str, list[tuple[int, float]]] = {}
     frac_series: dict[str, list[tuple[int, float]]] = {}
-    for variant in variants:
-        gens = sorted(by_gen[variant])
-        series[variant] = [
-            (g, sum(by_gen[variant][g]) / len(by_gen[variant][g])) for g in gens
-        ]
-        frac_series[variant] = [
-            (g, sum(frac_by_gen[variant][g]) / len(frac_by_gen[variant][g]))
-            for g in gens
-        ]
+    for variant, gens in by_gen.items():
+        points = sorted(gens.items())
+        series[variant] = [(g, sum(mses) / len(mses)) for g, (mses, _) in points]
+        frac_series[variant] = [(g, sum(fracs) / len(fracs)) for g, (_, fracs) in points]
 
     x_hi = max(g for pts in series.values() for g, _ in pts)
     y_hi = max(v for pts in series.values() for _, v in pts) * 1.05
@@ -185,7 +178,7 @@ def trace_chart(rows, title: str = "error and gate use by generation") -> str:
         f'{_coord(mid_y)})">gate fraction (dashed)</text>'
     )
 
-    for idx, variant in enumerate(variants):
+    for idx, variant in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         body.append(
             _polyline([(frame.x(g), frame.y(v)) for g, v in series[variant]], color, False)

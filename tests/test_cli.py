@@ -7,9 +7,11 @@ covered elsewhere.
 
 from __future__ import annotations
 
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from dendrevo.cli import (
     build_parser,
     main,
 )
+from dendrevo import harness
 from dendrevo.evolve import EvoConfig, Variant
 from dendrevo.harness import ExperimentSpec, TRACE_HEADER, format_float, read_trace_rows
 from dendrevo.net import GateState, Network, count_active_gates, gate_fraction, save_network
@@ -213,7 +216,7 @@ def test_drop_prob_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
 
 def test_non_finite_mutation_range_is_a_usage_error_before_any_output(tmp_path, capsys):
     out = tmp_path / "never"
-    for bad in ("nan", "inf"):
+    for bad in ("nan", "inf", "1e308"):  # 1e308 is finite but 2r is not
         assert main(["run", *TINY, "--mutation-range", bad, "--out", str(out)]) == 2
         assert "mutation range" in capsys.readouterr().err
     assert not out.exists()
@@ -387,6 +390,33 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys):
     assert main(["sweep", "--n-values", "2,8", *common]) == 2
     assert main(["sweep", "--n-values", "", *common]) == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_every_file_the_cli_writes_arrives_by_rename(tmp_path, monkeypatch):
+    renamed = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        renamed.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", spy)
+    grid, swp = tmp_path / "cmp", tmp_path / "swp"
+    assert main(["compare", *TINY, "--runs", "2", "--out", str(grid), "--plot"]) == 0
+    assert main([
+        "sweep", "--n-values", "8,10", "--k", "2", "--pop", "6", "--hidden", "2",
+        "--generations", "2", "--runs", "2", "--train-size", "10",
+        "--test-size", "10", "--out", str(swp), "--plot",
+    ]) == 0
+    chart = tmp_path / "charts" / "trace.svg"
+    assert main(["plot", "--input", str(grid / "trace.csv"), "--out", str(chart)]) == 0
+    written = {p for p in tmp_path.rglob("*") if p.is_file()}
+    assert {p.name for p in grid.iterdir() if p.is_file()} == {
+        "manifest.json", "trace.csv", "summary.csv", "compare.csv", "trace.svg"
+    }
+    assert {p.name for p in swp.iterdir() if p.is_file()} == {"sweep.csv", "sweep.svg"}
+    assert written <= set(renamed)
+    assert not any(p.suffix == ".tmp" for p in written)
 
 
 def test_plot_renders_trace_csv(tmp_path):

@@ -1,5 +1,6 @@
 """Selection, mutation, replacement, and the incremental evaluator."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -69,9 +70,11 @@ def test_config_validation():
         EvoConfig(p=1)
     with pytest.raises(ValueError):
         EvoConfig(h=0)
-    for bad in (0.0, float("nan"), float("inf")):
+    # 1e308 is finite, but uniform(-r, r) needs the width 2r to be finite too.
+    for bad in (0.0, float("nan"), float("inf"), 1e308):
         with pytest.raises(ValueError, match="mutation range"):
             EvoConfig(r=bad)
+    EvoConfig(r=float(np.finfo(float).max) / 2)
     with pytest.raises(ValueError):
         EvoConfig(generations=-1)
     with pytest.raises(ValueError):
@@ -204,7 +207,7 @@ def test_mutation_descriptor_matches_observed_change(task):
     for _ in range(300):
         child, change = describe_mutation(parent, cfg, rng)
         if isinstance(change, WeightChange):
-            recon = child.copy()
+            recon = copy.deepcopy(child)
             if change.kind == 0:
                 recon.w_in[change.j, change.i] -= change.delta
                 assert recon.w_in[change.j, change.i] == pytest.approx(
@@ -359,7 +362,7 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
     net = seed_population(cfg, train.n, train, rng)[0].network
     net.set_input_gate(1, 3, GateState.lower(-2.0))  # inputs never reach -2
     state = evaluator.full_states([net])[0]
-    child = net.copy()
+    child = copy.deepcopy(net)
     child.set_input_gate(1, 3, GateState.inactive())
     change = GateChange(False, 1, 3, GateState.lower(-2.0), GateState.inactive())
     child_state = evaluator.child_state(state, child, change)

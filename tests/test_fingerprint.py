@@ -5,7 +5,8 @@ gate kind to appear, and runs in a few seconds. Every file it writes is
 pinned: the trace, the summary and pairwise CSVs, the SVG chart and the
 saved genomes. A second, single cell
 redraws its training set from a k=10 landscape every generation, and a
-third does the same under the center-band encoding. A refactor that
+third does the same under the center-band encoding. A small input-size
+sweep pins sweep.csv and sweep.svg. A refactor that
 moves a single bit of any cell's trace changes its digest. If a change
 of behaviour is intended, say so and why, and record the new digest here.
 """
@@ -40,6 +41,15 @@ CENTER_BAND_CELL = [
     "--train-size", "300", "--test-size", "300", "--seed", "42", "--workers", "1",
 ]
 CENTER_BAND_TRACE_SHA256 = "9b90e7cb2529a32537da66c3619a9056e6d6b10aae2f1f653018cb3194e87060"
+SWEEP = [
+    "sweep", "--n-values", "12,24", "--k", "3", "--generations", "40", "--runs", "2",
+    "--pop", "20", "--train-size", "200", "--test-size", "200", "--seed", "42",
+    "--workers", "1", "--plot",
+]
+SWEEP_ARTIFACT_SHA256 = {
+    "sweep.csv": "ea508dfd2709cba0ae7c51be53bbdce44afa084a6a15d83d2ea52d9ee7e20f49",
+    "sweep.svg": "bc555f2c245b0c13f244e64c52effc53636b785befe14eeb3ed59681635de829",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -67,3 +77,10 @@ def test_center_band_cell_trace_matches_the_golden_digest(tmp_path, monkeypatch)
     monkeypatch.delenv("DENDREVO_SEED", raising=False)
     assert main([*CENTER_BAND_CELL, "--out", str(tmp_path)]) == 0
     assert sha256((tmp_path / "trace.csv").read_bytes()) == CENTER_BAND_TRACE_SHA256
+
+
+def test_sweep_table_and_chart_match_the_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("DENDREVO_SEED", raising=False)
+    assert main([*SWEEP, "--out", str(tmp_path)]) == 0
+    for name, digest in SWEEP_ARTIFACT_SHA256.items():
+        assert sha256((tmp_path / name).read_bytes()) == digest, name

@@ -1,5 +1,6 @@
 """Experiment orchestration, persistence, and the statistics layer."""
 
+import ast
 import json
 import os
 from dataclasses import fields
@@ -229,7 +230,7 @@ def test_cell_files_arrive_by_rename_and_leave_no_temp_files(tmp_path, monkeypat
     run_experiment(tiny_spec(), out_dir=out)
     cell_files = sorted(p.name for p in (out / "runs").iterdir())
     assert len(cell_files) == 8  # a trace and a genome per cell
-    assert sorted(dst for _, dst in renamed) == cell_files
+    assert sorted(dst for _, dst in renamed) == sorted(cell_files + ["manifest.json"])
     temp_names = [src for src, _ in renamed]
     assert len(set(temp_names)) == len(temp_names)
     assert all(src.startswith(dst + ".") for src, dst in renamed)
@@ -248,6 +249,32 @@ def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path):
         harness._atomic_write(target, fail)
     assert target.read_text() == "old\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_only_the_atomic_writer_and_the_genome_writer_write_files():
+    """Every file the package writes goes through write_atomic, except the
+    genome, which save_network writes to the temp path _atomic_write gives it."""
+
+    def opens_for_writing(call):
+        # open(path, mode) or Path.open(mode); no mode reads, an unknown one may write.
+        first = 1 if isinstance(call.func, ast.Name) else 0
+        modes = call.args[first:first + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+        return any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+") for m in modes)
+
+    writers = set()
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                if name in ("write_text", "write_bytes") or (
+                    name == "open" and opens_for_writing(call)
+                ):
+                    writers.add((path.stem, func.name))
+    assert writers == {("harness", "write_atomic"), ("net", "save_network")}
 
 
 def test_run_experiment_without_out_dir_matches_persisted(tmp_path):

@@ -248,13 +248,16 @@ def test_individual_rejects_negative_fitness():
         Individual(Network.zeros(2, 1), -0.5, 0)
 
 
-def test_network_copy_is_deep():
+def test_network_child_copies_only_the_written_arrays():
     net = Network.zeros(3, 2)
-    dup = net.copy()
+    dup = net.child("w_in", "gate_kind_in", "gate_a_in", "gate_b_in")
     dup.w_in[0, 0] = 5.0
     dup.set_input_gate(1, 2, GateState.drop())
     assert net.w_in[0, 0] == 0.0
     assert net.input_gate(1, 2).kind is GateKind.INACTIVE
+    assert dup.w_out is net.w_out and dup.gate_kind_out is net.gate_kind_out
+    dup.b_out = 1.0
+    assert net.b_out == 0.0
 
 
 def test_genome_save_load_round_trip(tmp_path):
@@ -345,6 +348,11 @@ def test_load_network_rejects_malformed_files(tmp_path):
     bad_gate.write_text(text.replace("0 0 0 0 I", "0 0 0 0 L", 1))
     with pytest.raises(ValueError, match="gate"):
         load_network(bad_gate)
+    # An inactive tag takes no parameter.
+    tagged = tmp_path / "tagged_inactive.dnet"
+    tagged.write_text(text.replace("0 0 0 0 I", "0 0 0 0 I 0.3", 1))
+    with pytest.raises(ValueError, match="line 2: bad gate 'I 0.3'"):
+        load_network(tagged)
 
     empty = tmp_path / "empty.dnet"
     empty.write_text("")

@@ -269,15 +269,27 @@ def test_children_share_what_their_mutation_does_not_write(task):
 
 def test_the_step_loop_never_deep_copies_a_genome(task, monkeypatch):
     land, train, test = task
+    # What one step may copy: one weight or bias array, or one layer's gates.
+    allowed = [
+        set(), {"w_in"}, {"b_hidden"}, {"w_out"},
+        {"gate_kind_in", "gate_a_in", "gate_b_in"},
+        {"gate_kind_out", "gate_a_out", "gate_b_out"},
+    ]
+    real_child = Network.child
+    copied = []
 
-    def refuse(self):
-        raise AssertionError("Network.copy called in the step loop")
+    def spy(self, *written):
+        assert set(written) in allowed, written
+        copied.append(written)
+        return real_child(self, *written)
 
-    monkeypatch.setattr(Network, "copy", refuse)
+    monkeypatch.setattr(Network, "child", spy)
     for variant in Variant:
+        copied.clear()
         cfg = EvoConfig(variant=variant, generations=2, p=8)
         trace = run_evolution(cfg, land, train, test, np.random.default_rng(64))
         assert len(trace.records) == 3
+        assert len(copied) == cfg.generations * cfg.p  # one child per step
 
 
 @pytest.mark.parametrize(
