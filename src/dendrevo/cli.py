@@ -101,14 +101,6 @@ SETTINGS = (
     ("plot", "run.plot", "also write an SVG chart"),
 )
 
-# The grid axis each experiment command takes: config key, help, default.
-# sweep takes its sizes from n_values alone, so it has no n setting.
-_AXES = {
-    "run": ("variant", "standard, dendrite, range or dropout", "dendrite"),
-    "compare": ("variants", "comma-separated variant names", "standard,dendrite"),
-    "sweep": ("n_values", "comma-separated input sizes", "25,50,100,250,500,1000"),
-}
-
 
 def _defaults(cls, prefix: str = "") -> dict[str, object]:
     return {prefix + f.name: f.default for f in fields(cls) if f.default is not MISSING}
@@ -119,6 +111,16 @@ _DEFAULTS = {
     **_defaults(EvoConfig, "config."),
     **_defaults(RunOptions, "run."),
 }
+
+# The grid axis each experiment command takes: config key, help, default.
+# sweep takes its sizes from n_values alone, so it has no n setting.
+_AXES = {
+    "run": ("variant", "standard, dendrite, range or dropout", "dendrite"),
+    "compare": ("variants", "comma-separated variant names",
+                ",".join(v.value for v in _DEFAULTS["variants"])),
+    "sweep": ("n_values", "comma-separated input sizes", "25,50,100,250,500,1000"),
+}
+
 
 _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -278,18 +280,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not n_values or len(set(n_values)) != len(n_values):
         raise UsageError(f"n_values: need distinct sizes, got {n_values}")
     # Each size runs as its own grid; the smallest one must admit k.
-    spec, opts = _settings(
-        args, cfg, n=min(n_values), variants=(Variant.STANDARD, Variant.DENDRITE_THRESHOLD)
-    )
+    spec, opts = _settings(args, cfg, n=min(n_values), variants=_DEFAULTS["variants"])
     out = Path(opts.out)  # run_experiment creates it
-    points = sweep_n(spec, n_values, out_dir=out, workers=opts.workers, log=_log)
-    rows = [csv_row(*astuple(row)) for point in points for row in point.rows]
-    _write_rows(out / "sweep.csv", SWEEP_HEADER, rows)
-    for point in points:
-        for s in point.report.summaries:
+    rows = sweep_n(spec, n_values, out_dir=out, workers=opts.workers, log=_log)
+    _write_rows(out / "sweep.csv", SWEEP_HEADER, [csv_row(*astuple(row)) for row in rows])
+    for row in rows:
+        if row.split == "test":
             print(
-                f"n={point.n} {s.variant.value}: mean_test_mse={s.mean_test_mse:.6g} "
-                f"min={s.min_test_mse:.6g} max={s.max_test_mse:.6g}"
+                f"n={row.n} {row.variant.value}: mean_test_mse={row.mean:.6g} "
+                f"min={row.min:.6g} max={row.max:.6g}"
             )
     if opts.plot:  # drawn from the file, as trace.svg and plot are
         table = read_csv_rows(out / "sweep.csv", SWEEP_HEADER, _SWEEP_CASTS)

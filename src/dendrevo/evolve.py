@@ -190,13 +190,13 @@ def _activate_gate(variant: Variant, rng: np.random.Generator) -> GateState:
     if variant is Variant.DENDRITE_THRESHOLD:
         threshold = float(rng.uniform(-1.0, 1.0))
         if rng.random() < 0.5:
-            return GateState.lower(threshold)
-        return GateState.upper(threshold)
+            return GateState(GateKind.LOWER, threshold)
+        return GateState(GateKind.UPPER, threshold)
     if variant is Variant.DENDRITE_RANGE:
         edges = rng.uniform(-1.0, 1.0, size=2)
-        return GateState.band(float(edges.min()), float(edges.max()))
+        return GateState(GateKind.RANGE, float(edges.min()), float(edges.max()))
     if variant is Variant.RANDOM_DROPOUT:
-        return GateState.drop()
+        return GateState(GateKind.DROP)
     raise ValueError(f"variant {variant} cannot introduce gates")
 
 
@@ -214,15 +214,15 @@ def _mutate_active_gate(gate: GateState, r: float, rng: np.random.Generator) -> 
         if move == 1:
             flipped = GateKind.UPPER if gate.kind is GateKind.LOWER else GateKind.LOWER
             return GateState(flipped, gate.a)
-        return GateState.inactive()
+        return GateState()
     if gate.kind is GateKind.RANGE:
         move = int(rng.integers(0, 2))
         if move == 0:
             edges = np.array([gate.a, gate.b]) + rng.uniform(-r, r, size=2)
-            return GateState.band(float(edges.min()), float(edges.max()))
-        return GateState.inactive()
+            return GateState(GateKind.RANGE, float(edges.min()), float(edges.max()))
+        return GateState()
     if gate.kind is GateKind.DROP:
-        return GateState.drop() if int(rng.integers(0, 2)) == 0 else GateState.inactive()
+        return GateState(GateKind.DROP) if int(rng.integers(0, 2)) == 0 else GateState()
     raise ValueError("cannot mutate an inactive gate here")
 
 
@@ -448,8 +448,6 @@ class TrainEvaluator:
         same value, so the score is bitwise that of the select."""
         drop_in = (net.gate_kind_in.reshape(-1) == DROP).nonzero()[0]
         drop_out = (net.gate_kind_out == DROP).nonzero()[0]
-        if (drop_in.size or drop_out.size) and rng is None:
-            raise ValueError("a DROP gate needs an rng to flip its coins")
         hidden_cols, pre_out = state.hidden_cols, state.det_pre_out
         if drop_in.size:
             pre_hidden = state.det_pre_hidden  # a fresh C-ordered matrix
@@ -461,7 +459,10 @@ class TrainEvaluator:
             # C order, as np.take gives in predict
             values = np.column_stack([hidden_cols[j] for j in drop_out])
             values *= net.w_out[drop_out]
-            values *= rng.random(values.shape) < self.drop_prob
+            values *= blocked_matrix(
+                net.gate_kind_out[drop_out], net.gate_a_out[drop_out],
+                net.gate_b_out[drop_out], values, rng, self.drop_prob,
+            )
             pre_out = pre_out - values.sum(axis=1)
         err = expit(pre_out) - self.targets
         return float(err @ err / err.shape[0])

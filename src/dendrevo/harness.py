@@ -520,25 +520,18 @@ class SweepRow:
     max: float
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    n: int
-    report: ComparisonReport
-    rows: list[SweepRow]
-
-
 def sweep_n(
     spec: ExperimentSpec,
     n_values: list[int],
     out_dir: str | Path | None = None,
     workers: int = 1,
     log: Logger | None = None,
-) -> list[SweepPoint]:
-    """Standard-vs-threshold comparison at each input size, k fixed.
+) -> list[SweepRow]:
+    """The spec's variants at each input size, k fixed.
 
     Every n gets its own grid of cells (seeds include n, so cells are
     independent across sizes). Rows carry train and test means with
-    min/max bars, two per variant per n.
+    min/max bars, two per variant per n, in (n, variant, split) order.
     """
     if not n_values:
         raise ValueError("need at least one n value")
@@ -548,15 +541,11 @@ def sweep_n(
         raise ValueError(
             f"every n must exceed k={spec.k}; got n={min(n_values)}"
         )
-    points = []
+    rows = []
     for n in n_values:
-        cell_spec = dc_replace(
-            spec, n=n, variants=(Variant.STANDARD, Variant.DENDRITE_THRESHOLD)
-        )
         sub_dir = Path(out_dir) / f"n-{n}" if out_dir is not None else None
-        result = run_experiment(cell_spec, out_dir=sub_dir, workers=workers, log=log)
-        rows = []
-        for variant in cell_spec.variants:
+        result = run_experiment(dc_replace(spec, n=n), out_dir=sub_dir, workers=workers, log=log)
+        for variant in spec.variants:
             for split in ("train", "test"):
                 errs = final_values(result[variant], f"best_{split}_mse")
                 rows.append(
@@ -569,5 +558,4 @@ def sweep_n(
                         max=float(errs.max()),
                     )
                 )
-        points.append(SweepPoint(n=n, report=compare(result), rows=rows))
-    return points
+    return rows

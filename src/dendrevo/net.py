@@ -67,6 +67,8 @@ class GateState:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not GateKind:  # an unknown kind raises ValueError here
+            object.__setattr__(self, "kind", GateKind(self.kind))
         if self.kind in (GateKind.LOWER, GateKind.UPPER) and not math.isfinite(self.a):
             raise ValueError("threshold must be finite")
         if self.kind is GateKind.RANGE:
@@ -74,26 +76,6 @@ class GateState:
                 raise ValueError("range bounds must be finite")
             if self.a > self.b:
                 raise ValueError(f"range requires lo <= hi, got ({self.a}, {self.b})")
-
-    @classmethod
-    def inactive(cls) -> "GateState":
-        return cls(GateKind.INACTIVE)
-
-    @classmethod
-    def lower(cls, threshold: float) -> "GateState":
-        return cls(GateKind.LOWER, threshold)
-
-    @classmethod
-    def upper(cls, threshold: float) -> "GateState":
-        return cls(GateKind.UPPER, threshold)
-
-    @classmethod
-    def band(cls, lo: float, hi: float) -> "GateState":
-        return cls(GateKind.RANGE, lo, hi)
-
-    @classmethod
-    def drop(cls) -> "GateState":
-        return cls(GateKind.DROP)
 
 
 class Network:

@@ -207,16 +207,12 @@ def sweep_chart(rows, title: str = "error by input size") -> str:
     rows = list(rows)
     if not rows:
         raise ValueError("no data rows to plot")
-    n_values: list[int] = []
-    series_keys: list[tuple[str, str]] = []
+    # (variant, split) -> n -> (mean, lo, hi); series and ticks in first-seen order
     data: dict[tuple[str, str], dict[int, tuple[float, float, float]]] = defaultdict(dict)
     for n, variant, split, mean, lo, hi in rows:
-        if n not in n_values:
-            n_values.append(n)
-        key = (variant, split)
-        if key not in series_keys:
-            series_keys.append(key)
-        data[key][n] = (mean, lo, hi)
+        data[(variant, split)][n] = (mean, lo, hi)
+    n_values = list(dict.fromkeys(n for n, *_ in rows))
+    series_keys = list(data)
 
     y_hi = max(hi for _n, _v, _s, _m, _lo, hi in rows) * 1.05
     frame = _Frame(-0.5, len(n_values) - 0.5, 0.0, y_hi)

@@ -29,7 +29,9 @@ from dendrevo.cli import (
 from dendrevo import harness
 from dendrevo.evolve import EvoConfig, Variant
 from dendrevo.harness import ExperimentSpec, TRACE_HEADER, format_float, read_trace_rows
-from dendrevo.net import GateState, Network, count_active_gates, gate_fraction, save_network
+from dendrevo.net import (
+    GateKind, GateState, Network, count_active_gates, gate_fraction, save_network,
+)
 
 # Shared tiny-problem flags: n=8, k=2, 6 genomes, 2 hidden nodes,
 # 2 generations, 10-sample data sets.
@@ -359,6 +361,20 @@ def test_sweep_writes_table_subdirs_and_chart(tmp_path, capsys):
     assert "n=8 standard:" in capsys.readouterr().out
 
 
+def test_sweep_with_one_run_per_cell_writes_its_table(tmp_path, capsys):
+    out = tmp_path / "swp"
+    rc = main([
+        "sweep", "--n-values", "8,12", "--k", "2", "--pop", "6", "--hidden", "2",
+        "--generations", "2", "--runs", "1", "--train-size", "10",
+        "--test-size", "10", "--out", str(out),
+    ])
+    assert rc == 0, capsys.readouterr().err
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    # 2 sizes x 2 variants x (train, test); one run gives min = mean = max.
+    assert len(rows) == 8
+    assert all(len(set(row.split(",")[3:])) == 1 for row in rows)
+
+
 def test_sweep_checks_k_against_its_sizes_only(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n = 2\n")  # sweep ignores n
@@ -464,9 +480,9 @@ def test_plot_rejects_header_only_trace(tmp_path, capsys):
 
 def test_inspect_reports_gate_placement(tmp_path, capsys):
     net = Network.zeros(3, 2)
-    net.set_input_gate(1, 0, GateState.lower(0.25))
-    net.set_input_gate(1, 2, GateState.band(-0.5, 0.5))
-    net.set_output_gate(0, GateState.drop())
+    net.set_input_gate(1, 0, GateState(GateKind.LOWER, 0.25))
+    net.set_input_gate(1, 2, GateState(GateKind.RANGE, -0.5, 0.5))
+    net.set_output_gate(0, GateState(GateKind.DROP))
     path = tmp_path / "genome.dnet"
     save_network(net, path)
     assert main(["inspect", "--genome", str(path)]) == 0

@@ -287,7 +287,7 @@ def test_replace_parsimony_tie_prefers_fewer_gates():
     def gated(count):
         net = Network.zeros(4, 2)
         for i in range(count):
-            net.set_input_gate(0, i, GateState.lower(0.0))
+            net.set_input_gate(0, i, GateState(GateKind.LOWER, 0.0))
         return Individual(net, 0.25, count)
 
     rng = np.random.default_rng(7)
@@ -360,11 +360,11 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     rng = np.random.default_rng(42)
     net = seed_population(cfg, train.n, train, rng)[0].network
-    net.set_input_gate(1, 3, GateState.lower(-2.0))  # inputs never reach -2
+    net.set_input_gate(1, 3, GateState(GateKind.LOWER, -2.0))  # inputs never reach -2
     state = evaluator.full_states([net])[0]
     child = copy.deepcopy(net)
-    child.set_input_gate(1, 3, GateState.inactive())
-    change = GateChange(False, 1, 3, GateState.lower(-2.0), GateState.inactive())
+    child.set_input_gate(1, 3, GateState())
+    change = GateChange(False, 1, 3, GateState(GateKind.LOWER, -2.0), GateState())
     child_state = evaluator.child_state(state, child, change)
     assert evaluator.score(child, child_state) == evaluator.score(net, state)
 
@@ -373,7 +373,7 @@ def test_evaluator_drop_gates_need_rng(task):
     _, train, _ = task
     evaluator = TrainEvaluator(train)
     net = Network.zeros(train.n, 2)
-    net.set_input_gate(0, 0, GateState.drop())
+    net.set_input_gate(0, 0, GateState(GateKind.DROP))
     state = evaluator.full_states([net])[0]
     with pytest.raises(ValueError, match="rng"):
         evaluator.score(net, state)
@@ -387,8 +387,8 @@ def test_evaluator_drop_coins_align_with_direct_route(task):
     rng = np.random.default_rng(43)
     net = seed_population(cfg, train.n, train, rng)[0].network
     for i in range(6):
-        net.set_input_gate(i % 10, i, GateState.drop())
-    net.set_output_gate(2, GateState.drop())
+        net.set_input_gate(i % 10, i, GateState(GateKind.DROP))
+    net.set_output_gate(2, GateState(GateKind.DROP))
     state = evaluator.full_states([net])[0]
     cached = evaluator.score(net, state, np.random.default_rng(77))
     direct = mse(net, train, np.random.default_rng(77), cfg.drop_prob)

@@ -7,12 +7,16 @@ and a per-node ``np.add.reduceat``. The kernel zeroes blocked terms by a
 not move by a single bit.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from dendrevo import net as net_module
 from dendrevo.evolve import TrainEvaluator
-from dendrevo.net import GateKind, GateState, Network, predict
+from dendrevo.net import GateKind, GateState, Network, mse, predict
 from dendrevo.nk import Dataset, Encoding
 
 DROP_PROB = 0.5
@@ -118,12 +122,12 @@ def gated_network(rng, n, h, density, kinds=(1, 2, 3, 4)):
         kind = GateKind(int(rng.choice(kinds)))
         lo, hi = np.sort(rng.uniform(-1, 1, size=2))
         if kind is GateKind.LOWER:
-            return GateState.lower(float(lo))
+            return GateState(GateKind.LOWER, float(lo))
         if kind is GateKind.UPPER:
-            return GateState.upper(float(hi))
+            return GateState(GateKind.UPPER, float(hi))
         if kind is GateKind.RANGE:
-            return GateState.band(float(lo), float(hi))
-        return GateState.drop()
+            return GateState(GateKind.RANGE, float(lo), float(hi))
+        return GateState(GateKind.DROP)
 
     for j in range(h):
         for i in range(n):
@@ -233,8 +237,8 @@ def test_full_states_is_bitwise_the_per_member_route():
         for density, kinds, _ in CASES
     ]
     only_output = gated_network(rng, n=9, h=8, density=0.0)
-    only_output.set_output_gate(3, GateState.upper(0.6))
-    only_output.set_output_gate(5, GateState.drop())
+    only_output.set_output_gate(3, GateState(GateKind.UPPER, 0.6))
+    only_output.set_output_gate(5, GateState(GateKind.DROP))
     nets.insert(2, only_output)
     assert any(not net.gate_kind_in.any() and not net.gate_kind_out.any() for net in nets)
     states = evaluator.full_states(nets)
@@ -244,3 +248,49 @@ def test_full_states_is_bitwise_the_per_member_route():
         assert state.det_pre_hidden.tobytes() == want.det_pre_hidden.tobytes()
         assert hidden_matrix(state).tobytes() == hidden_matrix(want).tobytes()
         assert state.det_pre_out.tobytes() == want.det_pre_out.tobytes()
+
+
+@pytest.mark.parametrize("layer", ["input", "output"])
+def test_drop_gates_without_an_rng_are_refused_on_every_route(layer):
+    rng = np.random.default_rng(9)
+    data = dataset(rng, 16, 5)
+    net = gated_network(rng, n=5, h=3, density=0.0)
+    if layer == "input":
+        net.set_input_gate(1, 2, GateState(GateKind.DROP))
+    else:
+        net.set_output_gate(2, GateState(GateKind.DROP))
+    evaluator = TrainEvaluator(data, DROP_PROB)
+    state = evaluator.full_states([net])[0]
+    with pytest.raises(ValueError, match="needs an rng"):
+        predict(net, data.features)
+    with pytest.raises(ValueError, match="needs an rng"):
+        mse(net, data)
+    with pytest.raises(ValueError, match="needs an rng"):
+        evaluator.score(net, state)
+
+
+def test_drop_coins_are_drawn_only_in_blocked_matrix():
+    """Every comparison of a ``*.random(...)`` draw against ``drop_prob``
+    in the package sits in ``net.blocked_matrix``, so a change to how the
+    coins are drawn has one place to go."""
+
+    def is_coin(compare):
+        operands = [compare.left, *compare.comparators]
+        draws = any(
+            isinstance(op, ast.Call) and getattr(op.func, "attr", None) == "random"
+            for op in operands
+        )
+        names = {getattr(node, "id", getattr(node, "attr", None)) for op in operands
+                 for node in ast.walk(op)}
+        return draws and "drop_prob" in names
+
+    sites = []
+    for path in sorted(Path(net_module.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites += [
+                    (path.stem, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Compare) and is_coin(node)
+                ]
+    assert sites == [("net", "blocked_matrix")]

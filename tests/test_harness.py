@@ -459,15 +459,15 @@ def test_ablation_study_requires_both_variants():
 
 def test_sweep_n_layout_and_validation(tmp_path):
     spec = tiny_spec()
-    points = sweep_n(spec, [6, 9], out_dir=tmp_path / "sweep")
-    assert [pt.n for pt in points] == [6, 9]
-    for pt in points:
-        assert len(pt.rows) == 4  # two variants x train/test
-        splits = {(row.variant, row.split) for row in pt.rows}
+    rows = sweep_n(spec, [6, 9], out_dir=tmp_path / "sweep")
+    assert [row.n for row in rows] == [6] * 4 + [9] * 4
+    for n in (6, 9):
+        at_n = [row for row in rows if row.n == n]
+        assert len(at_n) == 4  # two variants x train/test
+        splits = {(row.variant, row.split) for row in at_n}
         assert len(splits) == 4
-        for row in pt.rows:
+        for row in at_n:
             assert row.min <= row.mean <= row.max
-        assert pt.report.pairwise
     assert (tmp_path / "sweep" / "n-6" / "runs").is_dir()
     with pytest.raises(ValueError):
         sweep_n(spec, [])

@@ -73,13 +73,13 @@ def random_gated_network(rng, n=6, h=3, kinds=(1, 2, 3), density=0.4):
     def random_gate():
         kind = GateKind(int(rng.choice(kinds)))
         if kind is GateKind.LOWER:
-            return GateState.lower(float(rng.uniform(-1, 1)))
+            return GateState(GateKind.LOWER, float(rng.uniform(-1, 1)))
         if kind is GateKind.UPPER:
-            return GateState.upper(float(rng.uniform(-1, 1)))
+            return GateState(GateKind.UPPER, float(rng.uniform(-1, 1)))
         if kind is GateKind.RANGE:
             edges = rng.uniform(-1, 1, size=2)
-            return GateState.band(float(edges.min()), float(edges.max()))
-        return GateState.drop()
+            return GateState(GateKind.RANGE, float(edges.min()), float(edges.max()))
+        return GateState(GateKind.DROP)
 
     for j in range(h):
         for i in range(n):
@@ -92,13 +92,23 @@ def random_gated_network(rng, n=6, h=3, kinds=(1, 2, 3), density=0.4):
 
 def test_gate_state_validation():
     with pytest.raises(ValueError):
-        GateState.band(0.5, -0.5)
+        GateState(GateKind.RANGE, 0.5, -0.5)
     with pytest.raises(ValueError):
-        GateState.lower(float("nan"))
+        GateState(GateKind.LOWER, float("nan"))
     with pytest.raises(ValueError):
-        GateState.band(0.0, float("inf"))
-    assert GateState.inactive().kind is GateKind.INACTIVE
-    assert GateState.drop().kind is GateKind.DROP
+        GateState(GateKind.RANGE, 0.0, float("inf"))
+    assert GateState().kind is GateKind.INACTIVE
+    assert GateState(GateKind.DROP).kind is GateKind.DROP
+
+
+def test_gate_kinds_given_as_ints_are_checked_as_their_kind():
+    with pytest.raises(ValueError, match="not a valid GateKind"):
+        GateState(9, 0.2)
+    with pytest.raises(ValueError, match="not a valid GateKind"):
+        GateState(-1)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        GateState(int(GateKind.RANGE), 0.5, -0.5)
+    assert GateState(int(GateKind.LOWER), 0.2).kind is GateKind.LOWER
 
 
 def passes(gate, values, rng=None, drop_prob=0.5):
@@ -109,10 +119,11 @@ def passes(gate, values, rng=None, drop_prob=0.5):
 
 
 def test_gate_passes_inclusive_comparisons():
-    assert passes(GateState.lower(0.3), [0.3, 0.4, 0.2]).tolist() == [True, True, False]
-    assert passes(GateState.upper(0.3), [0.3, 0.4]).tolist() == [True, False]
-    assert passes(GateState.band(-0.2, 0.2), [-0.2, 0.2, 0.21]).tolist() == [True, True, False]
-    assert passes(GateState.band(0.1, 0.1), [0.1]).all()  # degenerate range
+    assert passes(GateState(GateKind.LOWER, 0.3), [0.3, 0.4, 0.2]).tolist() == [True, True, False]
+    assert passes(GateState(GateKind.UPPER, 0.3), [0.3, 0.4]).tolist() == [True, False]
+    band = GateState(GateKind.RANGE, -0.2, 0.2)
+    assert passes(band, [-0.2, 0.2, 0.21]).tolist() == [True, True, False]
+    assert passes(GateState(GateKind.RANGE, 0.1, 0.1), [0.1]).all()  # degenerate range
     # An inactive gate transmits any value: sigmoid(1e9) = 1 reaches the output.
     net = Network.zeros(1, 1)
     net.w_in[0, 0] = net.w_out[0] = 1.0
@@ -120,13 +131,14 @@ def test_gate_passes_inclusive_comparisons():
 
 
 def test_drop_gate_needs_rng_and_respects_probability():
+    drop = GateState(GateKind.DROP)
     with pytest.raises(ValueError):
-        passes(GateState.drop(), [0.0])
-    outcomes = passes(GateState.drop(), np.zeros(10_000), np.random.default_rng(0))
+        passes(drop, [0.0])
+    outcomes = passes(drop, np.zeros(10_000), np.random.default_rng(0))
     # fair coin: 4 sigma around 5000
     assert abs(int(outcomes.sum()) - 5000) < 200
-    assert passes(GateState.drop(), np.zeros(10), np.random.default_rng(1), drop_prob=0.0).all()
-    assert not passes(GateState.drop(), np.zeros(10), np.random.default_rng(1), drop_prob=1.0).any()
+    assert passes(drop, np.zeros(10), np.random.default_rng(1), drop_prob=0.0).all()
+    assert not passes(drop, np.zeros(10), np.random.default_rng(1), drop_prob=1.0).any()
 
 
 def test_forward_matches_frozen_sigmoid_value():
@@ -181,9 +193,9 @@ def test_output_gates_test_post_sigmoid_activation():
     net = Network.zeros(1, 1)
     net.b_hidden[0] = 10.0  # hidden activation ~ 0.99995
     net.w_out[0] = 3.0
-    net.set_output_gate(0, GateState.upper(0.9))  # blocks values above 0.9
+    net.set_output_gate(0, GateState(GateKind.UPPER, 0.9))  # blocks values above 0.9
     assert predict(net, np.zeros((1, 1)))[0] == 0.5  # connection cut: sigmoid(0)
-    net.set_output_gate(0, GateState.lower(0.9))  # admits values >= 0.9
+    net.set_output_gate(0, GateState(GateKind.LOWER, 0.9))  # admits values >= 0.9
     assert predict(net, np.zeros((1, 1)))[0] > 0.9  # sigmoid(3 * ~1)
 
 
@@ -202,7 +214,7 @@ def test_predict_validates_feature_shape():
     net = Network.zeros(4, 2)
     with pytest.raises(ValueError):
         predict(net, np.zeros((3, 5)))
-    net.set_input_gate(0, 0, GateState.drop())
+    net.set_input_gate(0, 0, GateState(GateKind.DROP))
     with pytest.raises(ValueError, match="rng"):
         predict(net, np.zeros((2, 4)))
 
@@ -221,9 +233,9 @@ def test_mse_matches_direct_computation():
 def test_gate_counts_and_fraction():
     net = Network.zeros(5, 2)
     assert count_active_gates(net) == (0, (0, 0))
-    net.set_input_gate(0, 1, GateState.lower(0.0))
-    net.set_input_gate(1, 4, GateState.band(-0.1, 0.1))
-    net.set_output_gate(1, GateState.drop())
+    net.set_input_gate(0, 1, GateState(GateKind.LOWER, 0.0))
+    net.set_input_gate(1, 4, GateState(GateKind.RANGE, -0.1, 0.1))
+    net.set_output_gate(1, GateState(GateKind.DROP))
     total, (inner, outer) = count_active_gates(net)
     assert (total, inner, outer) == (3, 2, 1)
     assert gate_fraction(net) == 3 / net.gateable_count
@@ -252,7 +264,7 @@ def test_network_child_copies_only_the_written_arrays():
     net = Network.zeros(3, 2)
     dup = net.child("w_in", "gate_kind_in", "gate_a_in", "gate_b_in")
     dup.w_in[0, 0] = 5.0
-    dup.set_input_gate(1, 2, GateState.drop())
+    dup.set_input_gate(1, 2, GateState(GateKind.DROP))
     assert net.w_in[0, 0] == 0.0
     assert net.input_gate(1, 2).kind is GateKind.INACTIVE
     assert dup.w_out is net.w_out and dup.gate_kind_out is net.gate_kind_out
@@ -306,8 +318,12 @@ def test_genome_export_is_bytewise_the_gate_state_export(tmp_path):
     rng = np.random.default_rng(19)
     net = random_gated_network(rng, n=30, h=6, kinds=(1, 2, 3, 4), density=0.6)
     net.w_in[0, :3] = [0.0, -0.0, 1e-300]
-    outputs = [GateState.lower(-0.25), GateState.upper(0.5), GateState.band(-0.5, 0.75)]
-    for j, gate in enumerate([GateState.inactive(), *outputs, GateState.drop()]):
+    outputs = [
+        GateState(GateKind.LOWER, -0.25),
+        GateState(GateKind.UPPER, 0.5),
+        GateState(GateKind.RANGE, -0.5, 0.75),
+    ]
+    for j, gate in enumerate([GateState(), *outputs, GateState(GateKind.DROP)]):
         net.set_output_gate(j, gate)
     for layer in (net.gate_kind_in, net.gate_kind_out):
         assert set(np.unique(layer)) == {0, 1, 2, 3, 4}

@@ -178,7 +178,7 @@ def test_column_states_are_bitwise_the_copy_based_oracle(task, variant):
         if variant is Variant.RANDOM_DROPOUT:
             # 8 or more dropped terms in one output sum fix its layout
             for j in range(cfg.h):
-                member.network.set_output_gate(j, GateState.drop())
+                member.network.set_output_gate(j, GateState(GateKind.DROP))
         state = evaluator.full_states([member.network])[0]
         pop.append((member.network, state, as_oracle(state)))
     gate_changes = 0
