@@ -154,7 +154,7 @@ def _cast(source: str, raw, default):
 
 
 def _config(args: argparse.Namespace) -> dict[str, str]:
-    """The --config file's entries; every key must name a setting."""
+    """The --config file's entries; every key must name a setting of the command."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -162,7 +162,7 @@ def _config(args: argparse.Namespace) -> dict[str, str]:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    keys = {row[0] for row in SETTINGS + tuple(_AXES.values())}
+    keys = {row[0] for row in SETTINGS + (_AXES[args.command],)}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -37,9 +37,9 @@ from .net import (
     GateState,
     Individual,
     Network,
-    blocked_matrix,
     count_active_gates,
     mse,
+    output_terms,
     retract_input_gates,
 )
 from .nk import Dataset, NKLandscape, generate_dataset
@@ -128,7 +128,7 @@ def seed_population(
         raise ValueError("training set must be nonempty")
     pop: Population = []
     for _ in range(config.p):
-        net = Network.zeros(n, config.h)
+        net = Network(n, config.h)
         net.w_in[:] = rng.uniform(-1.0, 1.0, size=(config.h, n))
         net.b_hidden[:] = rng.uniform(-1.0, 1.0, size=config.h)
         net.w_out[:] = rng.uniform(-1.0, 1.0, size=config.h)
@@ -458,12 +458,8 @@ class TrainEvaluator:
         if drop_out.size:
             # C order, as np.take gives in predict
             values = np.column_stack([hidden_cols[j] for j in drop_out])
-            values *= net.w_out[drop_out]
-            values *= blocked_matrix(
-                net.gate_kind_out[drop_out], net.gate_a_out[drop_out],
-                net.gate_b_out[drop_out], values, rng, self.drop_prob,
-            )
-            pre_out = pre_out - values.sum(axis=1)
+            terms = output_terms(net, values, drop_out, rng, self.drop_prob)
+            pre_out = pre_out - terms.sum(axis=1)
         err = expit(pre_out) - self.targets
         return float(err @ err / err.shape[0])
 
@@ -479,13 +475,7 @@ def _det_pre_out(net: Network, hidden: np.ndarray) -> np.ndarray:
     pre_out = hidden @ net.w_out + net.b_out
     det = _det_gates(net.gate_kind_out)
     if det.size:
-        values = hidden[:, det]
-        blocked = blocked_matrix(
-            net.gate_kind_out[det], net.gate_a_out[det], net.gate_b_out[det], values
-        )
-        values *= net.w_out[det]
-        values *= blocked
-        for terms in values.T:
+        for terms in output_terms(net, hidden[:, det], det).T:
             pre_out -= terms
     return pre_out
 

@@ -10,6 +10,7 @@ finished cell can be reloaded from disk instead of recomputed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -177,7 +178,8 @@ def write_trace_csv(
 
 def read_csv_rows(path: str | Path, header: str, casts) -> list[tuple]:
     """Parse a CSV written under ``header``: one tuple per data row, field
-    i passed through ``casts[i]``."""
+    i passed through ``casts[i]``. A float must be finite, as every float
+    the package writes is."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0] != header:
@@ -190,9 +192,13 @@ def read_csv_rows(path: str | Path, header: str, casts) -> list[tuple]:
         if len(parts) != len(casts):
             raise ValueError(f"{path}:{lineno}: expected {len(casts)} fields, got {len(parts)}")
         try:
-            rows.append(tuple(cast(part) for cast, part in zip(casts, parts)))
+            row = tuple(cast(part) for cast, part in zip(casts, parts))
+            for part, value in zip(parts, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"value {part!r} is not finite")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        rows.append(row)
     return rows
 
 

@@ -95,52 +95,20 @@ class Network:
         "gate_kind_out", "gate_a_out", "gate_b_out",
     )
 
-    def __init__(
-        self,
-        w_in: np.ndarray,
-        b_hidden: np.ndarray,
-        w_out: np.ndarray,
-        b_out: float,
-        gate_kind_in: np.ndarray,
-        gate_a_in: np.ndarray,
-        gate_b_in: np.ndarray,
-        gate_kind_out: np.ndarray,
-        gate_a_out: np.ndarray,
-        gate_b_out: np.ndarray,
-    ) -> None:
-        h, n = w_in.shape
-        if b_hidden.shape != (h,) or w_out.shape != (h,):
-            raise ValueError("inconsistent layer dimensions")
-        if gate_kind_in.shape != (h, n) or gate_kind_out.shape != (h,):
-            raise ValueError("gate arrays must match connection layout")
-        self.w_in = w_in
-        self.b_hidden = b_hidden
-        self.w_out = w_out
-        self.b_out = float(b_out)
-        self.gate_kind_in = gate_kind_in
-        self.gate_a_in = gate_a_in
-        self.gate_b_in = gate_b_in
-        self.gate_kind_out = gate_kind_out
-        self.gate_a_out = gate_a_out
-        self.gate_b_out = gate_b_out
-
-    @classmethod
-    def zeros(cls, n: int, h: int) -> "Network":
+    def __init__(self, n: int, h: int) -> None:
         """All-zero weights and biases, every gate inactive."""
         if n < 1 or h < 1:
             raise ValueError("need at least one input and one hidden node")
-        return cls(
-            w_in=np.zeros((h, n)),
-            b_hidden=np.zeros(h),
-            w_out=np.zeros(h),
-            b_out=0.0,
-            gate_kind_in=np.zeros((h, n), dtype=np.uint8),
-            gate_a_in=np.zeros((h, n)),
-            gate_b_in=np.zeros((h, n)),
-            gate_kind_out=np.zeros(h, dtype=np.uint8),
-            gate_a_out=np.zeros(h),
-            gate_b_out=np.zeros(h),
-        )
+        self.w_in = np.zeros((h, n))
+        self.b_hidden = np.zeros(h)
+        self.w_out = np.zeros(h)
+        self.b_out = 0.0
+        self.gate_kind_in = np.zeros((h, n), dtype=np.uint8)
+        self.gate_a_in = np.zeros((h, n))
+        self.gate_b_in = np.zeros((h, n))
+        self.gate_kind_out = np.zeros(h, dtype=np.uint8)
+        self.gate_a_out = np.zeros(h)
+        self.gate_b_out = np.zeros(h)
 
     @property
     def n(self) -> int:
@@ -163,7 +131,9 @@ class Network:
     def child(self, *written: str) -> "Network":
         """A genome sharing every array of this one except the ``written``
         fields, which it copies, so writing them leaves this one intact."""
-        child = Network(*(getattr(self, name) for name in Network.__slots__))
+        child = Network.__new__(Network)  # __init__ would allocate zeros
+        for name in Network.__slots__:
+            setattr(child, name, getattr(self, name))
         for name in written:
             setattr(child, name, getattr(self, name).copy())
         return child
@@ -276,6 +246,24 @@ def retract_input_gates(
     retract_blocked(pre, values, w, blocked, nodes)
 
 
+def output_terms(
+    net: Network,
+    values: np.ndarray,
+    flat: np.ndarray,
+    rng: np.random.Generator | None = None,
+    drop_prob: float = DEFAULT_DROP_PROB,
+) -> np.ndarray:
+    """``values``, the (batch, gates) inputs of the output gates at ``flat``,
+    overwritten with their terms ``w * values * blocked``; callers sum them."""
+    kinds, a, b, w = (
+        m[flat] for m in (net.gate_kind_out, net.gate_a_out, net.gate_b_out, net.w_out)
+    )
+    blocked = blocked_matrix(kinds, a, b, values, rng, drop_prob)
+    values *= w
+    values *= blocked
+    return values
+
+
 def predict(
     net: Network,
     features: np.ndarray,
@@ -305,15 +293,7 @@ def predict(
     if flat_out.size:
         # np.take returns C order, which fixes how .sum(axis=1) adds a row.
         values = np.take(hidden, flat_out, axis=1)
-        blocked = blocked_matrix(
-            net.gate_kind_out[flat_out],
-            net.gate_a_out[flat_out],
-            net.gate_b_out[flat_out],
-            values, rng, drop_prob,
-        )
-        values *= net.w_out[flat_out]
-        values *= blocked
-        pre_out -= values.sum(axis=1)
+        pre_out -= output_terms(net, values, flat_out, rng, drop_prob).sum(axis=1)
     return expit(pre_out)
 
 
@@ -404,7 +384,10 @@ def load_network(path: str | Path) -> Network:
         if len(header) != 4 or header[:2] != ["DNET", "1"]:
             raise ValueError(f"bad genome header {' '.join(header)!r}")
         n, h = int(header[2]), int(header[3])
-        net = Network.zeros(n, h)
+        defined, expected = len(lines) - 1, n * h + 2 * h + 1
+        if defined < expected:  # checked before a huge header allocates
+            raise ValueError(f"genome file defines {defined} parameters, expected {expected}")
+        net = Network(n, h)
         for line_no, tokens in lines[1:]:
             if len(tokens) < 5:
                 raise ValueError("too few fields")
@@ -412,7 +395,7 @@ def load_network(path: str | Path) -> Network:
             weight = float(tokens[3])
             if not math.isfinite(weight):
                 raise ValueError(f"weight {tokens[3]} is not finite")
-            # Most lines carry a bare inactive tag, which Network.zeros already holds.
+            # Most lines carry a bare inactive tag, which Network(n, h) already holds.
             gate = None if tokens[4:] == ["I"] else _parse_gate(tokens[4:])
             key = (layer, to, frm)
             if key in seen:
@@ -442,8 +425,4 @@ def load_network(path: str | Path) -> Network:
                 raise ValueError(f"unknown layer {layer}")
     except ValueError as exc:
         raise ValueError(f"line {line_no}: {exc}") from None
-    if len(seen) != net.param_count:
-        raise ValueError(
-            f"genome file defines {len(seen)} parameters, expected {net.param_count}"
-        )
     return net

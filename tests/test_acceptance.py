@@ -121,7 +121,7 @@ def _mean(report, variant: Variant) -> float:
 def test_criterion_01_inactive_gates_match_plain_mlp():
     start = time.perf_counter()
     rng = np.random.default_rng(11)
-    net = Network.zeros(50, 10)
+    net = Network(50, 10)
     net.w_in[:] = rng.uniform(-1.0, 1.0, net.w_in.shape)
     net.b_hidden[:] = rng.uniform(-1.0, 1.0, net.b_hidden.shape)
     net.w_out[:] = rng.uniform(-1.0, 1.0, net.w_out.shape)
@@ -212,7 +212,7 @@ def test_criterion_03_mutation_and_replacement_properties():
     start = time.perf_counter()
     rng = np.random.default_rng(31)
     config = EvoConfig(h=4, variant=Variant.DENDRITE_THRESHOLD)
-    parent = Network.zeros(10, 4)
+    parent = Network(10, 4)
     parent.w_in[:] = rng.uniform(-1.0, 1.0, parent.w_in.shape)
     exactly_one = True
     for _ in range(10_000):
@@ -232,7 +232,7 @@ def test_criterion_03_mutation_and_replacement_properties():
             drop_ok = drop_ok and changed == 1
         parent = child
 
-    base = Network.zeros(2, 1)
+    base = Network(2, 1)
     never_increased = True
     for _ in range(10_000):
         before = int(rng.integers(0, 10))

@@ -175,6 +175,21 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key", [("sweep", "variants"), ("compare", "n_values"), ("run", "variants")]
+)
+def test_config_rejects_another_commands_axis(tmp_path, capsys, command, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = range,dropout\n")
+    # A tiny grid, so a command that ignored the key would finish quickly.
+    tiny = [*TINY, "--runs", "2", "--out", str(tmp_path / "x")]
+    if command == "sweep":
+        tiny[:2] = ["--n-values", "8"]
+    assert main([command, "--config", str(cfg), *tiny]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_rejects_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n 8\n")
@@ -478,8 +493,21 @@ def test_plot_rejects_header_only_trace(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_plot_rejects_non_finite_values(tmp_path, capsys, bad):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE_HEADER + f"\ndendrite,0,0,0.1,{bad},0,0.01\n")
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text(SWEEP_HEADER + f"\n25,standard,test,{bad},0.03,0.05\n")
+    for src in (trace, sweep):
+        rc = main(["plot", "--input", str(src), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert f"{src}:2: value '{bad}' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_inspect_reports_gate_placement(tmp_path, capsys):
-    net = Network.zeros(3, 2)
+    net = Network(3, 2)
     net.set_input_gate(1, 0, GateState(GateKind.LOWER, 0.25))
     net.set_input_gate(1, 2, GateState(GateKind.RANGE, -0.5, 0.5))
     net.set_output_gate(0, GateState(GateKind.DROP))

@@ -127,8 +127,8 @@ def test_seed_population_properties(task):
 
 def test_tournament_prefers_lower_error():
     pop = [
-        Individual(Network.zeros(2, 1), 0.1, 0),
-        Individual(Network.zeros(2, 1), 0.9, 0),
+        Individual(Network(2, 1), 0.1, 0),
+        Individual(Network(2, 1), 0.9, 0),
     ]
     rng = np.random.default_rng(3)
     wins = sum(tournament_select(pop, rng) == 0 for _ in range(10_000))
@@ -155,7 +155,7 @@ def test_scalar_tournament_draws_equal_one_size_two_draw(taken):
     (PCG64 keeps the other half of a 64-bit word for the next one)."""
     for size in (2, 7, 50):
         # Pairs of equal fitness send some tournaments to the tie coin.
-        pop = [Individual(Network.zeros(2, 1), float(m // 2), 0) for m in range(size)]
+        pop = [Individual(Network(2, 1), float(m // 2), 0) for m in range(size)]
         for seed in range(200):
             got, want = np.random.default_rng(seed), np.random.default_rng(seed)
             for rng in (got, want):
@@ -169,8 +169,8 @@ def test_scalar_tournament_draws_equal_one_size_two_draw(taken):
 
 def test_tournament_tie_falls_to_fair_coin():
     pop = [
-        Individual(Network.zeros(2, 1), 0.5, 0),
-        Individual(Network.zeros(2, 1), 0.5, 0),
+        Individual(Network(2, 1), 0.5, 0),
+        Individual(Network(2, 1), 0.5, 0),
     ]
     rng = np.random.default_rng(4)
     zeros = sum(tournament_select(pop, rng) == 0 for _ in range(10_000))
@@ -277,15 +277,15 @@ def test_range_gate_moves_keep_edges_sorted(task):
 
 def test_replace_is_unconditional_without_tie():
     rng = np.random.default_rng(6)
-    pop = [Individual(Network.zeros(2, 1), 0.1, 0) for _ in range(10)]
-    worse = Individual(Network.zeros(2, 1), 0.9, 0)
+    pop = [Individual(Network(2, 1), 0.1, 0) for _ in range(10)]
+    worse = Individual(Network(2, 1), 0.9, 0)
     _replace_slot(pop, worse, True, rng)
     assert sum(member is worse for member in pop) == 1
 
 
 def test_replace_parsimony_tie_prefers_fewer_gates():
     def gated(count):
-        net = Network.zeros(4, 2)
+        net = Network(4, 2)
         for i in range(count):
             net.set_input_gate(0, i, GateState(GateKind.LOWER, 0.0))
         return Individual(net, 0.25, count)
@@ -314,7 +314,7 @@ def test_replace_parsimony_tie_prefers_fewer_gates():
 
 def test_replace_without_parsimony_ignores_gate_counts():
     rng = np.random.default_rng(8)
-    net = Network.zeros(4, 2)
+    net = Network(4, 2)
     for _ in range(100):
         pop = [Individual(net, 0.25, 0) for _ in range(5)]
         bloated = Individual(net, 0.25, 7)
@@ -372,7 +372,7 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
 def test_evaluator_drop_gates_need_rng(task):
     _, train, _ = task
     evaluator = TrainEvaluator(train)
-    net = Network.zeros(train.n, 2)
+    net = Network(train.n, 2)
     net.set_input_gate(0, 0, GateState(GateKind.DROP))
     state = evaluator.full_states([net])[0]
     with pytest.raises(ValueError, match="rng"):

@@ -112,7 +112,7 @@ def oracle_score(data, net, state, rng, drop_prob=DROP_PROB):
 
 def gated_network(rng, n, h, density, kinds=(1, 2, 3, 4)):
     """Random weights; each connection gated with probability density."""
-    net = Network.zeros(n, h)
+    net = Network(n, h)
     net.w_in[:] = rng.uniform(-2, 2, size=(h, n))
     net.b_hidden[:] = rng.uniform(-1, 1, size=h)
     net.w_out[:] = rng.uniform(-2, 2, size=h)
@@ -294,3 +294,22 @@ def test_drop_coins_are_drawn_only_in_blocked_matrix():
                     if isinstance(node, ast.Compare) and is_coin(node)
                 ]
     assert sites == [("net", "blocked_matrix")]
+
+
+def test_blocked_matrix_is_called_only_by_the_two_layer_kernels():
+    """Each layer has one gate kernel: ``retract_input_gates`` for the
+    input layer, ``output_terms`` for the output layer. Every other caller
+    goes through one of them and keeps only its own pinned sum."""
+    sites = []
+    for path in sorted(Path(net_module.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites += [
+                    (path.stem, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and "blocked_matrix" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    )
+                ]
+    assert sorted(sites) == [("net", "output_terms"), ("net", "retract_input_gates")]

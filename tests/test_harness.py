@@ -309,7 +309,7 @@ def test_cached_cell_with_a_foreign_genome_is_refused(tmp_path):
     out = tmp_path / "exp"
     spec = tiny_spec()
     run_experiment(spec, out_dir=out)
-    save_network(Network.zeros(spec.n, 3), out / "runs" / "standard-run001.dnet")
+    save_network(Network(spec.n, 3), out / "runs" / "standard-run001.dnet")
     with pytest.raises(ValueError, match="genome shape"):
         run_experiment(spec, out_dir=out)
 
@@ -391,7 +391,7 @@ def synthetic_trace(final_train, final_test, fraction=0.0):
         TraceRecord(0, 0.5, 0.5, 0.0, 0.0),
         TraceRecord(1, final_train, final_test, fraction, fraction),
     ]
-    return RunTrace(records=records, final_network=Network.zeros(3, 2))
+    return RunTrace(records=records, final_network=Network(3, 2))
 
 
 def test_summarize_and_compare_math():

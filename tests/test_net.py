@@ -64,7 +64,7 @@ def scalar_reference(net, x, drop_decisions=None):
 
 
 def random_gated_network(rng, n=6, h=3, kinds=(1, 2, 3), density=0.4):
-    net = Network.zeros(n, h)
+    net = Network(n, h)
     net.w_in[:] = rng.uniform(-2, 2, size=(h, n))
     net.b_hidden[:] = rng.uniform(-1, 1, size=h)
     net.w_out[:] = rng.uniform(-2, 2, size=h)
@@ -125,7 +125,7 @@ def test_gate_passes_inclusive_comparisons():
     assert passes(band, [-0.2, 0.2, 0.21]).tolist() == [True, True, False]
     assert passes(GateState(GateKind.RANGE, 0.1, 0.1), [0.1]).all()  # degenerate range
     # An inactive gate transmits any value: sigmoid(1e9) = 1 reaches the output.
-    net = Network.zeros(1, 1)
+    net = Network(1, 1)
     net.w_in[0, 0] = net.w_out[0] = 1.0
     assert predict(net, np.array([[1e9]]))[0] == expit(1.0)
 
@@ -142,7 +142,7 @@ def test_drop_gate_needs_rng_and_respects_probability():
 
 
 def test_forward_matches_frozen_sigmoid_value():
-    net = Network.zeros(1, 1)
+    net = Network(1, 1)
     net.w_out[0] = 1.0
     assert predict(net, np.array([[0.123]]))[0] == SIGMOID_HALF
 
@@ -150,7 +150,7 @@ def test_forward_matches_frozen_sigmoid_value():
 def test_ungated_forward_equals_plain_mlp_reference():
     """No active gates: bitwise equality with an independent expression."""
     rng = np.random.default_rng(42)
-    net = Network.zeros(12, 5)
+    net = Network(12, 5)
     net.w_in[:] = rng.uniform(-1, 1, size=(5, 12))
     net.b_hidden[:] = rng.uniform(-1, 1, size=5)
     net.w_out[:] = rng.uniform(-1, 1, size=5)
@@ -190,7 +190,7 @@ def test_drop_gates_match_scalar_reference_at_coin_extremes():
 def test_output_gates_test_post_sigmoid_activation():
     """An output-layer threshold compares against sigmoid(hidden), not the
     raw sum: with bias 10 the hidden activation saturates near 1."""
-    net = Network.zeros(1, 1)
+    net = Network(1, 1)
     net.b_hidden[0] = 10.0  # hidden activation ~ 0.99995
     net.w_out[0] = 3.0
     net.set_output_gate(0, GateState(GateKind.UPPER, 0.9))  # blocks values above 0.9
@@ -211,7 +211,7 @@ def test_drop_forward_is_reproducible_per_seed():
 
 
 def test_predict_validates_feature_shape():
-    net = Network.zeros(4, 2)
+    net = Network(4, 2)
     with pytest.raises(ValueError):
         predict(net, np.zeros((3, 5)))
     net.set_input_gate(0, 0, GateState(GateKind.DROP))
@@ -231,7 +231,7 @@ def test_mse_matches_direct_computation():
 
 
 def test_gate_counts_and_fraction():
-    net = Network.zeros(5, 2)
+    net = Network(5, 2)
     assert count_active_gates(net) == (0, (0, 0))
     net.set_input_gate(0, 1, GateState(GateKind.LOWER, 0.0))
     net.set_input_gate(1, 4, GateState(GateKind.RANGE, -0.1, 0.1))
@@ -257,11 +257,17 @@ def test_ablate_output_gates_only_touches_output_layer():
 
 def test_individual_rejects_negative_fitness():
     with pytest.raises(ValueError):
-        Individual(Network.zeros(2, 1), -0.5, 0)
+        Individual(Network(2, 1), -0.5, 0)
+
+
+@pytest.mark.parametrize("n, h", [(0, 3), (3, 0)])
+def test_network_needs_an_input_and_a_hidden_node(n, h):
+    with pytest.raises(ValueError, match="at least one input and one hidden node"):
+        Network(n, h)
 
 
 def test_network_child_copies_only_the_written_arrays():
-    net = Network.zeros(3, 2)
+    net = Network(3, 2)
     dup = net.child("w_in", "gate_kind_in", "gate_a_in", "gate_b_in")
     dup.w_in[0, 0] = 5.0
     dup.set_input_gate(1, 2, GateState(GateKind.DROP))
@@ -333,7 +339,7 @@ def test_genome_export_is_bytewise_the_gate_state_export(tmp_path):
 
 
 def test_load_network_rejects_malformed_files(tmp_path):
-    good = Network.zeros(2, 1)
+    good = Network(2, 1)
     path = tmp_path / "net.dnet"
 
     save_network(good, path)
@@ -369,6 +375,12 @@ def test_load_network_rejects_malformed_files(tmp_path):
     tagged.write_text(text.replace("0 0 0 0 I", "0 0 0 0 I 0.3", 1))
     with pytest.raises(ValueError, match="line 2: bad gate 'I 0.3'"):
         load_network(tagged)
+
+    # A header that claims a huge genome is refused before anything is allocated.
+    huge = tmp_path / "huge.dnet"
+    huge.write_text("DNET 1 2000000000 100000\n0 0 0 0 I\n")
+    with pytest.raises(ValueError, match="defines 1 parameters, expected 200000000200001"):
+        load_network(huge)
 
     empty = tmp_path / "empty.dnet"
     empty.write_text("")
