@@ -24,6 +24,7 @@ every genome array and state column that its mutation does not write.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -122,16 +123,18 @@ def seed_population(
     train: Dataset,
     rng: np.random.Generator,
 ) -> Population:
-    """P networks with weights and biases uniform in [-1, 1], gates inactive,
-    unpriced (fitness inf): :func:`run_evolution` prices them all at once."""
+    """P networks with weights and biases uniform in [-1, 1], unpriced (fitness
+    inf): :func:`run_evolution` prices them all at once. Their inactive gates are
+    one blank genome's arrays, shared, as no population genome is written in place."""
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
+    blank = Network(n, config.h)
     pop: Population = []
     for _ in range(config.p):
-        net = Network(n, config.h)
-        net.w_in[:] = rng.uniform(-1.0, 1.0, size=(config.h, n))
-        net.b_hidden[:] = rng.uniform(-1.0, 1.0, size=config.h)
-        net.w_out[:] = rng.uniform(-1.0, 1.0, size=config.h)
+        net = copy.copy(blank)
+        net.w_in = rng.uniform(-1.0, 1.0, size=(config.h, n))
+        net.b_hidden = rng.uniform(-1.0, 1.0, size=config.h)
+        net.w_out = rng.uniform(-1.0, 1.0, size=config.h)
         net.b_out = float(rng.uniform(-1.0, 1.0))
         pop.append(Individual(net, float("inf"), 0))
     return pop

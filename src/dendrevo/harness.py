@@ -141,23 +141,25 @@ def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
 # --- per-cell persistence ---------------------------------------------------
 
 
-def _atomic_write(path: Path, write: Callable[[Path], None]) -> None:
+def _atomic_write(path: Path, write: Callable[[Path], None], exclusive: bool = False) -> None:
     """Let ``write`` fill a temp file beside ``path``, then rename it over
     ``path``, so readers see the old file or the whole new one. The pid
-    and a random token keep concurrent writers' temp names apart."""
+    and a random token keep concurrent writers' temp names apart.
+    ``exclusive`` links the temp file to ``path`` instead, which raises
+    FileExistsError if ``path`` exists."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
         write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
+        (os.link if exclusive else os.replace)(tmp, path)
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` by way of a temp file and a rename; every
-    file the package writes besides the genome goes through here."""
-    _atomic_write(Path(path), lambda tmp: tmp.write_text(text))
+def write_atomic(path: str | Path, text: str, exclusive: bool = False) -> None:
+    """Write ``text`` to ``path`` by way of a temp file and a rename (or a
+    link, if ``exclusive``); every file the package writes besides the
+    genome goes through here."""
+    _atomic_write(Path(path), lambda tmp: tmp.write_text(text), exclusive)
 
 
 def write_csv(path: str | Path, header: str, rows) -> None:
@@ -249,8 +251,11 @@ def _check_manifest(out_dir: Path, spec: ExperimentSpec) -> None:
                 f"{out_dir} holds cells but no manifest.json to match them to "
                 "this experiment; use a fresh --out"
             )
-        write_atomic(path, json.dumps(want, indent=2, sort_keys=True) + "\n")
-        return
+        try:  # exclusive: of two runs that both got here, one creates it
+            write_atomic(path, json.dumps(want, indent=2, sort_keys=True) + "\n", True)
+            return
+        except FileExistsError:
+            pass  # the other run's manifest: compare specs below
     try:
         have = json.loads(path.read_text())
         recorded = {"format": have["format"], **have["spec"]}

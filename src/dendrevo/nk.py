@@ -163,8 +163,12 @@ def evaluate_genomes(landscape: NKLandscape, bits: np.ndarray) -> np.ndarray:
         # Indices are in range, so "wrap" only spares the copy "raise" buffers.
         offsets = np.arange(0, block.size, block.shape[1])[:, None]
         np.take(block.reshape(-1), offsets + rows[genes], out=contrib[genes], mode="wrap")
-    del rows
-    return np.ascontiguousarray(contrib.T).sum(axis=1) / landscape.n
+    del rows, block
+    # Row sums on genome-major chunks of about one block: no whole transposed copy.
+    fitness, chunk = np.empty(contrib.shape[1]), max(1, BLOCK_ENTRIES // landscape.n)
+    for s in range(0, len(fitness), chunk):
+        np.ascontiguousarray(contrib[:, s:s + chunk].T).sum(axis=1, out=fitness[s:s + chunk])
+    return fitness / landscape.n
 
 
 def _encode_bits(bits: np.ndarray, encoding: Encoding, rng: np.random.Generator) -> np.ndarray:
@@ -191,13 +195,15 @@ def generate_datasets(
     encoded features, drawn from that rng in turn. The targets of all the
     datasets come from one pass over the landscape's table."""
     sizes = [size for size, _ in draws]
-    if any(size < 1 for size in sizes):
+    if not sizes or any(size < 1 for size in sizes):
         raise ValueError(f"dataset sizes must be >= 1, got {sizes}")
-    genomes, features = [], []
-    for size, rng in draws:
-        genomes.append(rng.integers(0, 2, size=(size, landscape.n), dtype=np.uint8))
-        features.append(_encode_bits(genomes[-1], encoding, rng))
-    targets = np.split(evaluate_genomes(landscape, np.concatenate(genomes)), np.cumsum(sizes)[:-1])
+    genes, features = np.empty((landscape.n, sum(sizes)), np.uint8), []  # as _table_rows reads
+    for (size, rng), end in zip(draws, np.cumsum(sizes)):
+        bits = rng.integers(0, 2, size=(size, landscape.n), dtype=np.uint8)
+        features.append(_encode_bits(bits, encoding, rng))
+        genes[:, end - size:end] = bits.T
+    del bits
+    targets = np.split(evaluate_genomes(landscape, genes.T), np.cumsum(sizes)[:-1])
     return [Dataset(f, t, encoding) for f, t in zip(features, targets)]
 
 

@@ -424,14 +424,18 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys):
 
 
 def test_every_file_the_cli_writes_arrives_by_rename(tmp_path, monkeypatch):
-    renamed = []
-    real_replace = os.replace
+    """Every file is renamed into place, except each manifest, which is
+    linked into place so that only one run can create it."""
+    renamed, linked = [], []
 
-    def spy(src, dst):
-        renamed.append(Path(dst))
-        real_replace(src, dst)
+    def spy(real, published):
+        def publish(src, dst):
+            published.append(Path(dst))
+            real(src, dst)
+        return publish
 
-    monkeypatch.setattr(harness.os, "replace", spy)
+    monkeypatch.setattr(harness.os, "replace", spy(os.replace, renamed))
+    monkeypatch.setattr(harness.os, "link", spy(os.link, linked))
     grid, swp = tmp_path / "cmp", tmp_path / "swp"
     assert main(["compare", *TINY, "--runs", "2", "--out", str(grid), "--plot"]) == 0
     assert main([
@@ -446,7 +450,8 @@ def test_every_file_the_cli_writes_arrives_by_rename(tmp_path, monkeypatch):
         "manifest.json", "trace.csv", "summary.csv", "compare.csv", "trace.svg"
     }
     assert {p.name for p in swp.iterdir() if p.is_file()} == {"sweep.csv", "sweep.svg"}
-    assert written <= set(renamed)
+    assert written <= set(renamed) | set(linked)
+    assert {p.name for p in linked} == {"manifest.json"}
     assert not any(p.suffix == ".tmp" for p in written)
 
 

@@ -125,6 +125,29 @@ def test_seed_population_properties(task):
     )
 
 
+def test_seed_population_members_share_one_blank_genomes_gates(task):
+    """Members share one set of inactive gate arrays, safe because a gate
+    mutation copies the layer it writes: a gate child of one member leaves
+    every sibling's gate bytes as they were."""
+    _, train, _ = task
+    cfg = EvoConfig(p=6, h=3, variant=Variant.DENDRITE_THRESHOLD, dendrite_mutation_prob=1.0)
+    rng = np.random.default_rng(6)
+    pop = seed_population(cfg, train.n, train, rng)
+    gates = [name for name in Network.__slots__ if name.startswith("gate_")]
+    first = pop[0].network
+    for member in pop[1:]:
+        assert all(getattr(member.network, g) is getattr(first, g) for g in gates)
+        assert member.network.w_in is not first.w_in
+    before = [[getattr(m.network, g).tobytes() for g in gates] for m in pop]
+    layers = set()
+    for _ in range(60):
+        child, change = describe_mutation(first, cfg, rng)
+        layers.add(change.output_layer)
+        assert count_active_gates(child)[0] == 1
+        assert [[getattr(m.network, g).tobytes() for g in gates] for m in pop] == before
+    assert layers == {False, True}
+
+
 def test_tournament_prefers_lower_error():
     pop = [
         Individual(Network(2, 1), 0.1, 0),

@@ -218,22 +218,29 @@ def test_run_experiment_persists_and_resumes(tmp_path):
 
 
 def test_cell_files_arrive_by_rename_and_leave_no_temp_files(tmp_path, monkeypatch):
-    renamed = []
-    real_replace = os.replace
+    """Cell files are renamed into place; the manifest is linked, so that
+    only one run can create it."""
+    published = []
 
-    def spy(src, dst):
-        renamed.append((Path(src).name, Path(dst).name))
-        real_replace(src, dst)
+    def spy(real):
+        def publish(src, dst):
+            published.append((real.__name__, Path(src).name, Path(dst).name))
+            real(src, dst)
+        return publish
 
-    monkeypatch.setattr(harness.os, "replace", spy)
+    monkeypatch.setattr(harness.os, "replace", spy(os.replace))
+    monkeypatch.setattr(harness.os, "link", spy(os.link))
     out = tmp_path / "exp"
     run_experiment(tiny_spec(), out_dir=out)
     cell_files = sorted(p.name for p in (out / "runs").iterdir())
     assert len(cell_files) == 8  # a trace and a genome per cell
-    assert sorted(dst for _, dst in renamed) == sorted(cell_files + ["manifest.json"])
-    temp_names = [src for src, _ in renamed]
+    assert sorted(dst for how, _, dst in published if how == "replace") == cell_files
+    assert [(how, dst) for how, _, dst in published if how != "replace"] == [
+        ("link", "manifest.json")
+    ]
+    temp_names = [src for _, src, _ in published]
     assert len(set(temp_names)) == len(temp_names)
-    assert all(src.startswith(dst + ".") for src, dst in renamed)
+    assert all(src.startswith(dst + ".") for _, src, dst in published)
     assert list(out.rglob("*.tmp")) == []
 
 
@@ -334,6 +341,23 @@ def test_manifest_records_every_spec_field_and_refuses_other_specs(tmp_path):
             run_experiment(changed, out_dir=out)
     assert json.loads((out / "manifest.json").read_text()) == manifest
     run_experiment(spec, out_dir=out, workers=2)  # workers are not part of the spec
+
+
+def test_of_two_runs_racing_to_create_the_manifest_one_wins(tmp_path, monkeypatch):
+    """Both checks find no manifest, as two runs started together into one
+    --out can: the first creates it, the second is refused, not let in."""
+    out = tmp_path / "exp"
+    (out / "runs").mkdir(parents=True)
+    real_exists = Path.exists
+    monkeypatch.setattr(
+        Path, "exists", lambda self: self.name != "manifest.json" and real_exists(self)
+    )
+    harness._check_manifest(out, tiny_spec(master_seed=1))
+    with pytest.raises(harness.SpecMismatch, match=r"master_seed \(1 -> 2\)"):
+        harness._check_manifest(out, tiny_spec(master_seed=2))
+    assert json.loads((out / "manifest.json").read_text())["spec"]["master_seed"] == 1
+    assert list(out.glob("*.tmp")) == []
+    harness._check_manifest(out, tiny_spec(master_seed=1))  # the winner's own spec passes
 
 
 def test_cells_without_a_manifest_are_refused(tmp_path):

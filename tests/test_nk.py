@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -362,6 +363,47 @@ def test_generate_datasets_equals_successive_generate_dataset_calls(encoding):
     expected_shared = np.random.default_rng(3)
     apart = [generate_dataset(land, s, encoding, expected_shared) for s in sizes]
     assert fingerprint(joint, [shared]) == fingerprint(apart, [expected_shared])
+
+
+# n=300: the table is one block at k=3, and 16 genes a block, the last
+# block partial, at k=12.
+@pytest.mark.parametrize("k", [3, 12])
+def test_chunked_row_sums_equal_the_whole_transpose(k):
+    """Fitness is summed over samples in chunks of c = BLOCK_ENTRIES // n
+    rows; every batch size around the chunk boundaries gives the bytes of
+    one sum over the whole genome-major contribution matrix, streamed or held."""
+    n = 300
+    land = build_landscape(n, k, seed=k)
+    held = land.dense()
+    c = nk.BLOCK_ENTRIES // n
+    bits = dataset_genomes(2 * c + 3, n, seed=k + 1)
+    for batch in (1, c - 1, c, c + 1, 2 * c + 3):
+        expected = dense_fitness(land.neighbors, held.tables, bits[:batch]).tobytes()
+        assert evaluate_genomes(land, bits[:batch]).tobytes() == expected
+        assert evaluate_genomes(held, bits[:batch]).tobytes() == expected
+
+
+def test_generate_datasets_holds_no_copy_of_its_matrices():
+    """Set-up peaks below its outputs, one float64 contribution matrix and
+    its row indices, with 25% on top, plus the one table block that is
+    drawn at a time: no transposed copy of the contributions is held."""
+    n, k, sizes = 300, 11, (600, 300)
+    land = build_landscape(n, k, seed=9)
+    batch = sum(sizes)
+    tracemalloc.start()
+    try:
+        datasets = generate_datasets(
+            land, Encoding.SIGN_SPLIT, *((s, np.random.default_rng(s)) for s in sizes)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(d.features.nbytes + d.targets.nbytes for d in datasets)
+    contrib = batch * n * 8
+    row_indices = batch * n * np.min_scalar_type(2 ** (k + 1) - 1).itemsize
+    block = nk.BLOCK_ENTRIES * 8
+    budget = 1.25 * (outputs + contrib + row_indices) + block
+    assert peak < budget, f"peak {peak / 2**20:.2f} MiB over {budget / 2**20:.2f} MiB"
 
 
 MEMORY_CHILD = """
