@@ -342,7 +342,7 @@ class EvalState:
     det_pre_out: np.ndarray  # (samples,)
 
     @property
-    def det_pre_hidden(self) -> np.ndarray:  # (samples, h), C order
+    def det_pre_hidden(self) -> np.ndarray:  # a fresh (samples, h) matrix, C order
         return np.array(self.pre_cols).T.copy()
 
 
@@ -382,15 +382,27 @@ class TrainEvaluator:
         """Apply deterministic gate retractions, in place, and price the
         output layer."""
         flat = _det_gates(net.gate_kind_in.reshape(-1))
-        if flat.size:
-            retract_input_gates(net, pre_hidden, self.features, flat)
-        hidden = expit(pre_hidden)
+        hidden, det_pre_out = self._forward(net, pre_hidden, flat)
         # Independent columns: a view would keep the whole matrix alive.
         return EvalState(
             tuple(col.copy() for col in pre_hidden.T),
             tuple(col.copy() for col in hidden.T),
-            _det_pre_out(net, hidden),
+            det_pre_out,
         )
+
+    def _forward(self, net: Network, pre_hidden: np.ndarray, flat: np.ndarray, rng=None):
+        """Retract the input gates at ``flat`` from ``pre_hidden`` in place; return
+        the hidden activations and the output pre-activation, the deterministic
+        output gates' terms subtracted one node at a time in ascending order."""
+        if flat.size:
+            retract_input_gates(net, pre_hidden, self.features, flat, rng, self.drop_prob)
+        hidden = expit(pre_hidden)
+        pre_out = hidden @ net.w_out + net.b_out
+        det = _det_gates(net.gate_kind_out)
+        if det.size:
+            for terms in output_terms(net, hidden.T, det).T:
+                pre_out -= terms
+        return hidden, pre_out
 
     @staticmethod
     def _with_node(child: Network, parent: EvalState, j: int, pre_j) -> EvalState:
@@ -444,24 +456,15 @@ class TrainEvaluator:
         """MSE from a state. Drop coins, when present, are drawn in the
         same order as the direct route: one block for the input layer's
         drop gates in ascending connection order, then one for the
-        output layer's. Dropped terms are zeroed by a 0/1 multiply, not a
-        select, which spares a mispredicted branch per coin. A dropped
-        term may then be -0.0 where the select gave +0.0; adding either to
-        a nonzero partial sum is exact and ``expit`` maps both zeros to the
-        same value, so the score is bitwise that of the select."""
+        output layer's."""
         drop_in = (net.gate_kind_in.reshape(-1) == DROP).nonzero()[0]
         drop_out = (net.gate_kind_out == DROP).nonzero()[0]
         hidden_cols, pre_out = state.hidden_cols, state.det_pre_out
         if drop_in.size:
-            pre_hidden = state.det_pre_hidden  # a fresh C-ordered matrix
-            retract_input_gates(net, pre_hidden, self.features, drop_in, rng, self.drop_prob)
-            hidden = expit(pre_hidden)
+            hidden, pre_out = self._forward(net, state.det_pre_hidden, drop_in, rng)
             hidden_cols = hidden.T
-            pre_out = _det_pre_out(net, hidden)
         if drop_out.size:
-            # C order, as np.take gives in predict
-            values = np.column_stack([hidden_cols[j] for j in drop_out])
-            terms = output_terms(net, values, drop_out, rng, self.drop_prob)
+            terms = output_terms(net, hidden_cols, drop_out, rng, self.drop_prob)
             pre_out = pre_out - terms.sum(axis=1)
         err = expit(pre_out) - self.targets
         return float(err @ err / err.shape[0])
@@ -470,17 +473,6 @@ class TrainEvaluator:
 def _det_gates(kinds: np.ndarray) -> np.ndarray:
     """Indices of the LOWER, UPPER and RANGE gates among ``kinds``."""
     return np.flatnonzero((kinds != INACTIVE) & (kinds != DROP))
-
-
-def _det_pre_out(net: Network, hidden: np.ndarray) -> np.ndarray:
-    """Output pre-activation with the deterministic output gates' terms
-    retracted one node at a time, in ascending node order."""
-    pre_out = hidden @ net.w_out + net.b_out
-    det = _det_gates(net.gate_kind_out)
-    if det.size:
-        for terms in output_terms(net, hidden[:, det], det).T:
-            pre_out -= terms
-    return pre_out
 
 
 # --- the steady-state loop -----------------------------------------------------

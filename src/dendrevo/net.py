@@ -200,30 +200,27 @@ def blocked_matrix(
     return blocked
 
 
-def retract_blocked(
-    pre: np.ndarray,
+def gate_terms(
+    layer: tuple[np.ndarray, ...],
+    flat: np.ndarray,
     values: np.ndarray,
-    w: np.ndarray,
-    blocked: np.ndarray,
-    nodes: np.ndarray,
-) -> None:
-    """Subtract every blocked connection's term from its node, in place.
+    rng: np.random.Generator | None = None,
+    drop_prob: float = DEFAULT_DROP_PROB,
+) -> np.ndarray:
+    """``values``, the (batch, gates) inputs of the gates at flat indices
+    ``flat`` of one layer's (kinds, a, b, w) arrays, overwritten with their
+    terms ``w * values * blocked``; the caller subtracts them from its sums.
 
-    Column g of the (batch, gates) ``values`` feeds node ``nodes[g]``
-    through weight ``w[g]``; ``nodes`` must be ascending. ``values`` is
-    overwritten with the terms ``w * values * blocked``, and each node's
-    terms are summed by one ``np.add.reduceat`` segment. The 0/1 multiply
-    equals a select on ``blocked`` except that a dropped term may be -0.0
-    instead of +0.0, which leaves every nonzero sum unchanged.
+    The 0/1 multiply spares a select's mispredicted branch per coin. A
+    dropped term may then be -0.0 where the select gave +0.0; adding either
+    to a nonzero partial sum is exact and ``expit`` maps both zeros to the
+    same value, so every result is bitwise that of the select.
     """
+    kinds, a, b, w = (m.reshape(-1)[flat] for m in layer)
+    blocked = blocked_matrix(kinds, a, b, values, rng, drop_prob)
     values *= w
     values *= blocked
-    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
-    sums = np.add.reduceat(values, starts, axis=1)
-    if starts.size == pre.shape[1]:
-        pre -= sums  # every node is hit: skip the slow column scatter
-    else:
-        pre[:, nodes[starts]] -= sums
+    return values
 
 
 def retract_input_gates(
@@ -235,33 +232,31 @@ def retract_input_gates(
     drop_prob: float = DEFAULT_DROP_PROB,
 ) -> None:
     """Retract the input-layer gates at row-major indices ``flat`` from
-    the (batch, h) hidden pre-activations ``pre``, in place."""
+    the (batch, h) hidden pre-activations ``pre``, in place; each node's
+    terms are summed by one ``np.add.reduceat`` segment."""
     nodes, inputs = np.divmod(flat, net.n)  # row-major, so nodes ascend
-    values = np.take(features, inputs, axis=1)
-    kinds, a, b, w = (
-        m.reshape(-1)[flat]
-        for m in (net.gate_kind_in, net.gate_a_in, net.gate_b_in, net.w_in)
-    )
-    blocked = blocked_matrix(kinds, a, b, values, rng, drop_prob)
-    retract_blocked(pre, values, w, blocked, nodes)
+    layer = (net.gate_kind_in, net.gate_a_in, net.gate_b_in, net.w_in)
+    terms = gate_terms(layer, flat, np.take(features, inputs, axis=1), rng, drop_prob)
+    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
+    sums = np.add.reduceat(terms, starts, axis=1)
+    if starts.size == pre.shape[1]:
+        pre -= sums  # every node is hit: skip the slow column scatter
+    else:
+        pre[:, nodes[starts]] -= sums
 
 
 def output_terms(
     net: Network,
-    values: np.ndarray,
+    hidden_cols,
     flat: np.ndarray,
     rng: np.random.Generator | None = None,
     drop_prob: float = DEFAULT_DROP_PROB,
 ) -> np.ndarray:
-    """``values``, the (batch, gates) inputs of the output gates at ``flat``,
-    overwritten with their terms ``w * values * blocked``; callers sum them."""
-    kinds, a, b, w = (
-        m[flat] for m in (net.gate_kind_out, net.gate_a_out, net.gate_b_out, net.w_out)
-    )
-    blocked = blocked_matrix(kinds, a, b, values, rng, drop_prob)
-    values *= w
-    values *= blocked
-    return values
+    """(batch, gates) terms of the output gates at ``flat``, whose inputs are
+    the hidden activation columns ``hidden_cols[j]``; callers sum them."""
+    values = np.column_stack([hidden_cols[j] for j in flat])  # C order fixes a row sum's adds
+    layer = (net.gate_kind_out, net.gate_a_out, net.gate_b_out, net.w_out)
+    return gate_terms(layer, flat, values, rng, drop_prob)
 
 
 def predict(
@@ -291,9 +286,7 @@ def predict(
     pre_out = hidden @ net.w_out + net.b_out
     flat_out = np.flatnonzero(net.gate_kind_out)
     if flat_out.size:
-        # np.take returns C order, which fixes how .sum(axis=1) adds a row.
-        values = np.take(hidden, flat_out, axis=1)
-        pre_out -= output_terms(net, values, flat_out, rng, drop_prob).sum(axis=1)
+        pre_out -= output_terms(net, hidden.T, flat_out, rng, drop_prob).sum(axis=1)
     return expit(pre_out)
 
 

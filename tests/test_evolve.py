@@ -382,7 +382,8 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
     cfg = EvoConfig()
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     rng = np.random.default_rng(42)
-    net = seed_population(cfg, train.n, train, rng)[0].network
+    seeded = seed_population(cfg, train.n, train, rng)[0].network
+    net = seeded.child("gate_kind_in", "gate_a_in", "gate_b_in")
     net.set_input_gate(1, 3, GateState(GateKind.LOWER, -2.0))  # inputs never reach -2
     state = evaluator.full_states([net])[0]
     child = copy.deepcopy(net)
@@ -408,7 +409,10 @@ def test_evaluator_drop_coins_align_with_direct_route(task):
     cfg = EvoConfig(variant=Variant.RANDOM_DROPOUT)
     evaluator = TrainEvaluator(train, cfg.drop_prob)
     rng = np.random.default_rng(43)
-    net = seed_population(cfg, train.n, train, rng)[0].network
+    seeded = seed_population(cfg, train.n, train, rng)[0].network
+    net = seeded.child(
+        "gate_kind_in", "gate_a_in", "gate_b_in", "gate_kind_out", "gate_a_out", "gate_b_out"
+    )
     for i in range(6):
         net.set_input_gate(i % 10, i, GateState(GateKind.DROP))
     net.set_output_gate(2, GateState(GateKind.DROP))

@@ -296,10 +296,11 @@ def test_drop_coins_are_drawn_only_in_blocked_matrix():
     assert sites == [("net", "blocked_matrix")]
 
 
-def test_blocked_matrix_is_called_only_by_the_two_layer_kernels():
-    """Each layer has one gate kernel: ``retract_input_gates`` for the
-    input layer, ``output_terms`` for the output layer. Every other caller
-    goes through one of them and keeps only its own pinned sum."""
+def test_blocked_matrix_is_called_only_by_gate_terms():
+    """Both layers share one term step, ``gate_terms``, which the input
+    layer's ``retract_input_gates`` and the output layer's ``output_terms``
+    call; every other caller goes through one of those two and keeps only
+    its own pinned sum."""
     sites = []
     for path in sorted(Path(net_module.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -312,4 +313,4 @@ def test_blocked_matrix_is_called_only_by_the_two_layer_kernels():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)
                     )
                 ]
-    assert sorted(sites) == [("net", "output_terms"), ("net", "retract_input_gates")]
+    assert sites == [("net", "gate_terms")]

@@ -18,12 +18,11 @@ from dendrevo.evolve import (
     TrainEvaluator,
     Variant,
     WeightChange,
-    _det_pre_out,
     describe_mutation,
     run_evolution,
     seed_population,
 )
-from dendrevo.net import GateKind, GateState, Network, mse, retract_blocked
+from dendrevo.net import GateKind, GateState, Network, mse
 from dendrevo.nk import Encoding, build_landscape, generate_dataset
 
 GATED = (Variant.DENDRITE_THRESHOLD, Variant.DENDRITE_RANGE, Variant.RANDOM_DROPOUT)
@@ -116,8 +115,10 @@ def oracle_child_state(features, parent_state, child, change):
 
 
 def oracle_score(data, drop_prob, net, state, rng):
-    """The matrix-based score: a copied pre-activation matrix and an
-    ``np.take`` gather of the dropped output columns."""
+    """The matrix-based score: a copied pre-activation matrix, the dropped
+    input terms selected and summed per node by ``np.add.reduceat``, the
+    deterministic output gates retracted one node at a time by a select,
+    and an ``np.take`` gather of the dropped output columns."""
     drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP.value)
     drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP.value)
     hidden, pre_out = state.hidden, state.det_pre_out
@@ -126,10 +127,16 @@ def oracle_score(data, drop_prob, net, state, rng):
         pre_hidden = state.det_pre_hidden.copy()
         blocked = rng.random((len(data.targets), drop_in.size)) < drop_prob
         w = net.w_in.reshape(-1)[drop_in]
-        values = np.take(data.features, inputs, axis=1)
-        retract_blocked(pre_hidden, values, w, blocked, nodes)
+        retract = np.where(blocked, w * np.take(data.features, inputs, axis=1), 0.0)
+        starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
+        pre_hidden[:, nodes[starts]] -= np.add.reduceat(retract, starts, axis=1)
         hidden = expit(pre_hidden)
-        pre_out = _det_pre_out(net, hidden)
+        pre_out = hidden @ net.w_out + net.b_out
+        for j in range(net.h):
+            gate = net.output_gate(j)
+            if gate.kind in (GateKind.LOWER, GateKind.UPPER, GateKind.RANGE):
+                h = hidden[:, j]
+                pre_out -= np.where(oracle_eff_mask(gate, h), 0.0, net.w_out[j] * h)
     if drop_out.size:
         values = np.take(hidden, drop_out, axis=1)
         values *= net.w_out[drop_out]
@@ -177,6 +184,7 @@ def test_column_states_are_bitwise_the_copy_based_oracle(task, variant):
     for member in seed_population(cfg, train.n, train, rng):
         if variant is Variant.RANDOM_DROPOUT:
             # 8 or more dropped terms in one output sum fix its layout
+            member.network = member.network.child("gate_kind_out", "gate_a_out", "gate_b_out")
             for j in range(cfg.h):
                 member.network.set_output_gate(j, GateState(GateKind.DROP))
         state = evaluator.full_states([member.network])[0]
