@@ -72,10 +72,10 @@ class RunOptions:
 # --- the settings table -------------------------------------------------------
 
 # One row per setting: config key, the field it fills, help text. The flag
-# is --key with dashes, and a bool flag flips its default (--no-key when
-# the default is on). A field is an ExperimentSpec field, "config.<EvoConfig
-# field>" or "run.<RunOptions field>"; its default is the setting's default
-# and its default's type the setting's cast.
+# is --key with dashes, and a bool flag switches its False default on. A
+# field is an ExperimentSpec field, "config.<EvoConfig field>" or
+# "run.<RunOptions field>"; its default is the setting's default and its
+# default's type the setting's cast.
 SETTINGS = (
     ("n", "n", "inputs per sample"),
     ("k", "k", "epistatic neighbors per gene"),
@@ -88,12 +88,6 @@ SETTINGS = (
     ("test_size", "test_size", "test samples per run"),
     ("encoding", "encoding", "gene encoding: signsplit or centerband"),
     ("seed", "master_seed", f"master seed; {ENV_SEED} if no flag or config sets it"),
-    ("dendrite_prob", "config.dendrite_mutation_prob",
-     "probability a mutation hits a gate instead of a weight"),
-    ("drop_prob", "config.drop_prob", "blocking probability of dropout gates"),
-    ("parsimony", "config.parsimony", "fewer-gates tie-breaker at replacement"),
-    ("shared_landscape", "shared_landscape",
-     "one landscape for every cell instead of one per run"),
     ("resample_train", "config.resample_train_each_generation",
      "draw a fresh training set every generation"),
     ("workers", "run.workers", "parallel worker processes"),
@@ -346,8 +340,8 @@ def _add_settings(sub: argparse.ArgumentParser, command: str) -> None:
             continue
         default = _DEFAULTS[target]
         shown = default.value if isinstance(default, Enum) else default
-        flag = "--" + ("no-" if default is True else "") + key.replace("_", "-")
-        switch = {"action": "store_const", "const": not default}
+        flag = "--" + key.replace("_", "-")
+        switch = {"action": "store_const", "const": True}
         sub.add_argument(
             flag, dest=key, help=f"{text} (default: {shown})",
             **(switch if isinstance(default, bool) else {}),

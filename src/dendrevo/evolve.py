@@ -32,7 +32,6 @@ import numpy as np
 from scipy.special import expit
 
 from .net import (
-    DEFAULT_DROP_PROB,
     DROP, INACTIVE, LOWER, RANGE, UPPER,
     GateKind,
     GateState,
@@ -65,9 +64,6 @@ class EvoConfig:
     r: float = 0.1
     generations: int = 1000
     variant: Variant = Variant.STANDARD
-    dendrite_mutation_prob: float = 0.5
-    parsimony: bool = True
-    drop_prob: float = DEFAULT_DROP_PROB
     resample_train_each_generation: bool = False
 
     def __post_init__(self) -> None:
@@ -79,17 +75,6 @@ class EvoConfig:
             raise ValueError(f"mutation range half-width must be > 0 with 2r finite, got {self.r}")
         if self.generations < 0:
             raise ValueError("generations cannot be negative")
-        if not 0.0 <= self.dendrite_mutation_prob <= 1.0:
-            raise ValueError("dendrite_mutation_prob must lie in [0, 1]")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop_prob must lie in [0, 1]")
-
-    @property
-    def effective_dendrite_prob(self) -> float:
-        """STANDARD never takes the gate-mutation path."""
-        if self.variant is Variant.STANDARD:
-            return 0.0
-        return self.dendrite_mutation_prob
 
 
 Population = list  # exactly p Individuals, fitnesses cached on the training set
@@ -161,6 +146,9 @@ _FIELD_W_IN = 0
 _FIELD_B_HIDDEN = 1
 _FIELD_W_OUT = 2
 _FIELD_B_OUT = 3
+
+#: Probability that a mutation of a gated variant hits a gate, not a weight.
+GATE_MUTATION_PROB = 0.5
 
 
 @dataclass(frozen=True)
@@ -234,7 +222,7 @@ def describe_mutation(
 ) -> tuple[Network, MutationRecord]:
     """Single-gene mutation, returning the child and what changed.
 
-    With probability 1 - dendrite_mutation_prob (always, for STANDARD) a
+    With probability 1 - GATE_MUTATION_PROB (always, for STANDARD) a
     uniformly chosen weighted parameter, biases included, is shifted by a
     uniform draw from [-r, +r]. Otherwise a uniformly chosen gated
     connection is hit: an inactive gate is activated with fresh uniform
@@ -244,7 +232,8 @@ def describe_mutation(
     The child shares the parent's arrays and copies only those it writes.
     """
     n, h = parent.n, parent.h
-    if rng.random() < config.effective_dendrite_prob:
+    gate_prob = 0.0 if config.variant is Variant.STANDARD else GATE_MUTATION_PROB
+    if rng.random() < gate_prob:  # drawn for STANDARD too, which fixes the stream
         gate_idx = int(rng.integers(0, parent.gateable_count))
         output_layer = gate_idx >= n * h
         j, i = (gate_idx - n * h, 0) if output_layer else divmod(gate_idx, n)
@@ -282,7 +271,6 @@ def describe_mutation(
 def _replace_slot(
     pop: Population,
     offspring: Individual,
-    parsimony: bool,
     rng: np.random.Generator,
 ) -> tuple[int, bool]:
     """Overwrite a uniformly chosen slot with the offspring, unless an exact
@@ -290,7 +278,7 @@ def _replace_slot(
     counts fall to a fair coin); returns (slot, offspring moved in)."""
     idx = int(rng.integers(0, len(pop)))
     victim = pop[idx]
-    if parsimony and offspring.fitness == victim.fitness:
+    if offspring.fitness == victim.fitness:
         if offspring.active_gate_count > victim.active_gate_count:
             return idx, False
         if offspring.active_gate_count == victim.active_gate_count:
@@ -356,10 +344,9 @@ class TrainEvaluator:
     to float rounding.
     """
 
-    def __init__(self, data: Dataset, drop_prob: float = DEFAULT_DROP_PROB):
+    def __init__(self, data: Dataset):
         self.features = data.features
         self.targets = data.targets
-        self.drop_prob = drop_prob
 
     def full_states(self, nets: list[Network]) -> list[EvalState]:
         """States for a whole population at once.
@@ -395,7 +382,7 @@ class TrainEvaluator:
         the hidden activations and the output pre-activation, the deterministic
         output gates' terms subtracted one node at a time in ascending order."""
         if flat.size:
-            retract_input_gates(net, pre_hidden, self.features, flat, rng, self.drop_prob)
+            retract_input_gates(net, pre_hidden, self.features, flat, rng)
         hidden = expit(pre_hidden)
         pre_out = hidden @ net.w_out + net.b_out
         det = _det_gates(net.gate_kind_out)
@@ -464,7 +451,7 @@ class TrainEvaluator:
             hidden, pre_out = self._forward(net, state.det_pre_hidden, drop_in, rng)
             hidden_cols = hidden.T
         if drop_out.size:
-            terms = output_terms(net, hidden_cols, drop_out, rng, self.drop_prob)
+            terms = output_terms(net, hidden_cols, drop_out, rng)
             pre_out = pre_out - terms.sum(axis=1)
         err = expit(pre_out) - self.targets
         return float(err @ err / err.shape[0])
@@ -483,7 +470,6 @@ def _record(
     generation: int,
     test: Dataset,
     rng: np.random.Generator,
-    drop_prob: float,
 ) -> TraceRecord:
     best = min(pop, key=lambda m: m.fitness)
     denom = best.network.param_count
@@ -493,16 +479,16 @@ def _record(
     return TraceRecord(
         generation=generation,
         best_train_mse=best.fitness,
-        best_test_mse=mse(best.network, test, rng, drop_prob),
+        best_test_mse=mse(best.network, test, rng),
         best_gate_fraction=best.active_gate_count / denom,
         mean_gate_fraction=mean_fraction,
     )
 
 
-def _price(pop: Population, train: Dataset, drop_prob: float, rng: np.random.Generator):
+def _price(pop: Population, train: Dataset, rng: np.random.Generator):
     """Score every member on ``train`` from scratch, in population order;
     return the evaluator and the members' states."""
-    evaluator = TrainEvaluator(train, drop_prob)
+    evaluator = TrainEvaluator(train)
     states = evaluator.full_states([member.network for member in pop])
     for member, state in zip(pop, states):
         member.fitness = evaluator.score(member.network, state, rng)
@@ -537,12 +523,12 @@ def run_evolution(
         landscape = landscape.dense()
 
     pop = seed_population(config, train.n, train, rng)
-    evaluator, states = _price(pop, train, config.drop_prob, rng)
-    records = [_record(pop, 0, test, rng, config.drop_prob)]
+    evaluator, states = _price(pop, train, rng)
+    records = [_record(pop, 0, test, rng)]
     for generation in range(1, config.generations + 1):
         if config.resample_train_each_generation:
             train = generate_dataset(landscape, len(train), train.encoding, rng)
-            evaluator, states = _price(pop, train, config.drop_prob, rng)
+            evaluator, states = _price(pop, train, rng)
         for _ in range(config.p):
             parent_idx = tournament_select(pop, rng)
             child_net, change = describe_mutation(
@@ -554,9 +540,9 @@ def run_evolution(
                 evaluator.score(child_net, child_state, rng),
                 count_active_gates(child_net)[0],
             )
-            slot, moved_in = _replace_slot(pop, child, config.parsimony, rng)
+            slot, moved_in = _replace_slot(pop, child, rng)
             if moved_in:
                 states[slot] = child_state
-        records.append(_record(pop, generation, test, rng, config.drop_prob))
+        records.append(_record(pop, generation, test, rng))
     best = min(pop, key=lambda m: m.fitness)
     return RunTrace(records=records, final_network=best.network)

@@ -33,13 +33,11 @@ TRACE_HEADER = ",".join(["variant", "run", *(f.name for f in fields(TraceRecord)
 _record_values = attrgetter(*(f.name for f in fields(TraceRecord)))
 
 # Entropy tags for per-cell stream derivation. A cell's streams are keyed
-# by (master, n, k, variant code, run index, tag); the landscape tag is
-# replaced by a run-independent key when all cells share one landscape.
+# by (master, n, k, variant code, run index, tag).
 _STREAM_LANDSCAPE = 0
 _STREAM_TRAIN = 1
 _STREAM_TEST = 2
 _STREAM_EVOLVE = 3
-_SHARED_LANDSCAPE_TAG = 4
 
 _VARIANT_CODE = {
     Variant.STANDARD: 0,
@@ -89,7 +87,6 @@ class ExperimentSpec:
     test_size: int = 1000
     encoding: Encoding = Encoding.SIGN_SPLIT
     master_seed: int = 42
-    shared_landscape: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -110,12 +107,8 @@ def _cell_seeds(
     spec: ExperimentSpec, variant: Variant, run: int
 ) -> tuple[int, int, int, int]:
     base = (spec.n, spec.k, _VARIANT_CODE[variant], run)
-    if spec.shared_landscape:
-        landscape = derive_seed(spec.master_seed, spec.n, spec.k, _SHARED_LANDSCAPE_TAG)
-    else:
-        landscape = derive_seed(spec.master_seed, *base, _STREAM_LANDSCAPE)
     return (
-        landscape,
+        derive_seed(spec.master_seed, *base, _STREAM_LANDSCAPE),
         derive_seed(spec.master_seed, *base, _STREAM_TRAIN),
         derive_seed(spec.master_seed, *base, _STREAM_TEST),
         derive_seed(spec.master_seed, *base, _STREAM_EVOLVE),

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 #: Probability that a DROP gate blocks its input on one pass (fair coin).
-DEFAULT_DROP_PROB = 0.5
+DROP_PROB = 0.5
 
 
 class GateKind(IntEnum):
@@ -176,19 +176,18 @@ def blocked_matrix(
     b: np.ndarray,
     values: np.ndarray,
     rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
 ) -> np.ndarray:
     """(batch, gates) mask, True where an active gate blocks its input.
 
     LOWER, UPPER and RANGE gates admit the inclusive interval [lo, hi]
     with the open sides at infinity. DROP coins are one uniform block
-    over the drop gates in the given order; a coin below drop_prob blocks.
+    over the drop gates in the given order; a coin below DROP_PROB blocks.
     """
     drops = np.flatnonzero(kinds == DROP)
     if drops.size:
         if rng is None:
             raise ValueError("a DROP gate needs an rng to flip its coins")
-        coins = rng.random((values.shape[0], drops.size)) < drop_prob
+        coins = rng.random((values.shape[0], drops.size)) < DROP_PROB
         if drops.size == kinds.size:
             return coins  # drop gates only: the coins are the whole mask
     lo = np.where(kinds == UPPER, -np.inf, a)
@@ -205,7 +204,6 @@ def gate_terms(
     flat: np.ndarray,
     values: np.ndarray,
     rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
 ) -> np.ndarray:
     """``values``, the (batch, gates) inputs of the gates at flat indices
     ``flat`` of one layer's (kinds, a, b, w) arrays, overwritten with their
@@ -217,7 +215,7 @@ def gate_terms(
     same value, so every result is bitwise that of the select.
     """
     kinds, a, b, w = (m.reshape(-1)[flat] for m in layer)
-    blocked = blocked_matrix(kinds, a, b, values, rng, drop_prob)
+    blocked = blocked_matrix(kinds, a, b, values, rng)
     values *= w
     values *= blocked
     return values
@@ -229,14 +227,13 @@ def retract_input_gates(
     features: np.ndarray,
     flat: np.ndarray,
     rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
 ) -> None:
     """Retract the input-layer gates at row-major indices ``flat`` from
     the (batch, h) hidden pre-activations ``pre``, in place; each node's
     terms are summed by one ``np.add.reduceat`` segment."""
     nodes, inputs = np.divmod(flat, net.n)  # row-major, so nodes ascend
     layer = (net.gate_kind_in, net.gate_a_in, net.gate_b_in, net.w_in)
-    terms = gate_terms(layer, flat, np.take(features, inputs, axis=1), rng, drop_prob)
+    terms = gate_terms(layer, flat, np.take(features, inputs, axis=1), rng)
     starts = np.flatnonzero(np.diff(nodes, prepend=-1))
     sums = np.add.reduceat(terms, starts, axis=1)
     if starts.size == pre.shape[1]:
@@ -250,20 +247,18 @@ def output_terms(
     hidden_cols,
     flat: np.ndarray,
     rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
 ) -> np.ndarray:
     """(batch, gates) terms of the output gates at ``flat``, whose inputs are
     the hidden activation columns ``hidden_cols[j]``; callers sum them."""
     values = np.column_stack([hidden_cols[j] for j in flat])  # C order fixes a row sum's adds
     layer = (net.gate_kind_out, net.gate_a_out, net.gate_b_out, net.w_out)
-    return gate_terms(layer, flat, values, rng, drop_prob)
+    return gate_terms(layer, flat, values, rng)
 
 
 def predict(
     net: Network,
     features: np.ndarray,
     rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
 ) -> np.ndarray:
     """Network output for each row of a (batch, n) feature matrix.
 
@@ -281,12 +276,12 @@ def predict(
     pre_hidden = features @ net.w_in.T + net.b_hidden
     flat = np.flatnonzero(net.gate_kind_in)
     if flat.size:
-        retract_input_gates(net, pre_hidden, features, flat, rng, drop_prob)
+        retract_input_gates(net, pre_hidden, features, flat, rng)
     hidden = expit(pre_hidden)
     pre_out = hidden @ net.w_out + net.b_out
     flat_out = np.flatnonzero(net.gate_kind_out)
     if flat_out.size:
-        pre_out -= output_terms(net, hidden.T, flat_out, rng, drop_prob).sum(axis=1)
+        pre_out -= output_terms(net, hidden.T, flat_out, rng).sum(axis=1)
     return expit(pre_out)
 
 
@@ -294,12 +289,11 @@ def mse(
     net: Network,
     data,
     rng: np.random.Generator | None = None,
-    drop_prob: float = DEFAULT_DROP_PROB,
 ) -> float:
     """Mean squared error of the network over a dataset."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    out = predict(net, data.features, rng, drop_prob)
+    out = predict(net, data.features, rng)
     err = out - data.targets
     return float(err @ err / err.shape[0])
 

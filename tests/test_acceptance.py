@@ -238,13 +238,13 @@ def test_criterion_03_mutation_and_replacement_properties():
         before = int(rng.integers(0, 10))
         after = int(rng.integers(0, 10))
         pop = [Individual(base, 0.5, before)]
-        _replace_slot(pop, Individual(base, 0.5, after), True, rng)
+        _replace_slot(pop, Individual(base, 0.5, after), rng)
         never_increased = never_increased and pop[0].active_gate_count <= before
     replaced = 0
     for _ in range(10_000):
         pop = [Individual(base, 0.5, 3)]
         offspring = Individual(base, 0.5, 3)
-        _replace_slot(pop, offspring, True, rng)
+        _replace_slot(pop, offspring, rng)
         replaced += pop[0] is offspring
     elapsed = time.perf_counter() - start
     ok = (

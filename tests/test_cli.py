@@ -225,10 +225,31 @@ def test_invalid_problem_shape_is_a_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_drop_prob_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
-    rc = main(["run", *TINY, "--drop-prob", "1.5", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "drop_prob" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag", [["--drop-prob", "0.3"], ["--dendrite-prob", "0.3"], ["--no-parsimony"],
+             ["--shared-landscape"]],
+    ids=lambda flag: flag[0],
+)
+def test_a_removed_setting_flag_is_refused(tmp_path, capsys, flag):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *TINY, *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["drop_prob = 0.3", "dendrite_prob = 0.3", "parsimony = no", "shared_landscape = yes"]
+)
+def test_a_removed_setting_config_key_is_refused(tmp_path, capsys, line):
+    out = tmp_path / "never"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(out) + line + "\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    key = line.split(" = ")[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_mutation_range_is_a_usage_error_before_any_output(tmp_path, capsys):
@@ -262,8 +283,8 @@ def _defaults():
 
 def _other_value(default):
     """A value unlike ``default``, and how a config file spells it."""
-    if isinstance(default, bool):
-        return not default, "no" if default else "yes"
+    if isinstance(default, bool):  # every bool setting defaults to False
+        return True, "yes"
     if isinstance(default, Enum):
         member = next(m for m in type(default) if m is not default)
         return member, member.value
@@ -281,7 +302,7 @@ def test_every_setting_reaches_its_field(tmp_path, key, target):
     default = _field(*_defaults(), target)
     assert _field(*_resolved(["run"]), target) == default
     value, spelled = _other_value(default)
-    flag = "--" + ("no-" if default is True else "") + key.replace("_", "-")
+    flag = "--" + key.replace("_", "-")
     argv = [flag] if isinstance(default, bool) else [flag, spelled]
     assert _field(*_resolved(["run", *argv]), target) == value
     cfg = tmp_path / "exp.cfg"
@@ -299,6 +320,10 @@ def test_every_dataclass_field_is_a_setting_or_set_per_cell():
         | {f"run.{f.name}" for f in fields(RunOptions)}
     )
     assert set(targets) | SET_PER_CELL == every_field
+    defaults = _defaults()
+    for target in targets:  # a bool setting is a switch that turns it on
+        default = _field(*defaults, target)
+        assert not isinstance(default, bool) or default is False, target
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
@@ -308,7 +333,7 @@ def test_help_shows_every_default(command, capsys):
     text = " ".join(capsys.readouterr().out.split())
     for key, target, _ in SETTINGS:
         default = _field(*_defaults(), target)
-        flag = "--" + ("no-" if default is True else "") + key.replace("_", "-")
+        flag = "--" + key.replace("_", "-")
         if command == "sweep" and key == "n":
             assert f"{flag} " not in text  # sweep's sizes come from --n-values
             continue

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dendrevo import evolve
 from dendrevo.evolve import (
     EvoConfig,
     GateChange,
@@ -77,22 +78,12 @@ def test_config_validation():
     EvoConfig(r=float(np.finfo(float).max) / 2)
     with pytest.raises(ValueError):
         EvoConfig(generations=-1)
-    with pytest.raises(ValueError):
-        EvoConfig(dendrite_mutation_prob=1.5)
 
 
-def test_config_rejects_drop_prob_outside_unit_interval():
-    for bad in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="drop_prob"):
-            EvoConfig(drop_prob=bad)
-    assert EvoConfig(drop_prob=0.0).drop_prob == 0.0
-    assert EvoConfig(drop_prob=1.0).drop_prob == 1.0
-
-
-def test_standard_variant_never_mutates_gates(task):
+def test_standard_variant_never_mutates_gates(task, monkeypatch):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.STANDARD)
-    assert cfg.effective_dendrite_prob == 0.0
+    monkeypatch.setattr(evolve, "GATE_MUTATION_PROB", 1.0)  # STANDARD still never takes it
     rng = np.random.default_rng(0)
     parent = seed_population(cfg, train.n, train, rng)[0].network
     for _ in range(2000):
@@ -125,12 +116,13 @@ def test_seed_population_properties(task):
     )
 
 
-def test_seed_population_members_share_one_blank_genomes_gates(task):
+def test_seed_population_members_share_one_blank_genomes_gates(task, monkeypatch):
     """Members share one set of inactive gate arrays, safe because a gate
     mutation copies the layer it writes: a gate child of one member leaves
     every sibling's gate bytes as they were."""
     _, train, _ = task
-    cfg = EvoConfig(p=6, h=3, variant=Variant.DENDRITE_THRESHOLD, dendrite_mutation_prob=1.0)
+    cfg = EvoConfig(p=6, h=3, variant=Variant.DENDRITE_THRESHOLD)
+    monkeypatch.setattr(evolve, "GATE_MUTATION_PROB", 1.0)  # gate mutations only
     rng = np.random.default_rng(6)
     pop = seed_population(cfg, train.n, train, rng)
     gates = [name for name in Network.__slots__ if name.startswith("gate_")]
@@ -302,7 +294,7 @@ def test_replace_is_unconditional_without_tie():
     rng = np.random.default_rng(6)
     pop = [Individual(Network(2, 1), 0.1, 0) for _ in range(10)]
     worse = Individual(Network(2, 1), 0.9, 0)
-    _replace_slot(pop, worse, True, rng)
+    _replace_slot(pop, worse, rng)
     assert sum(member is worse for member in pop) == 1
 
 
@@ -316,13 +308,13 @@ def test_replace_parsimony_tie_prefers_fewer_gates():
     rng = np.random.default_rng(7)
     for _ in range(200):
         pop = [gated(2) for _ in range(5)]
-        _replace_slot(pop, gated(3), True, rng)
+        _replace_slot(pop, gated(3), rng)
         assert all(member.active_gate_count == 2 for member in pop)
 
     for _ in range(200):
         pop = [gated(2) for _ in range(5)]
         slim = gated(1)
-        _replace_slot(pop, slim, True, rng)
+        _replace_slot(pop, slim, rng)
         assert sum(member is slim for member in pop) == 1
 
     # equal gate counts: fair coin
@@ -330,19 +322,9 @@ def test_replace_parsimony_tie_prefers_fewer_gates():
     for _ in range(10_000):
         pop = [gated(2) for _ in range(5)]
         contender = gated(2)
-        _replace_slot(pop, contender, True, rng)
+        _replace_slot(pop, contender, rng)
         taken += any(member is contender for member in pop)
     assert abs(taken - 5000) < 200
-
-
-def test_replace_without_parsimony_ignores_gate_counts():
-    rng = np.random.default_rng(8)
-    net = Network(4, 2)
-    for _ in range(100):
-        pop = [Individual(net, 0.25, 0) for _ in range(5)]
-        bloated = Individual(net, 0.25, 7)
-        _replace_slot(pop, bloated, False, rng)
-        assert any(member is bloated for member in pop)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -350,7 +332,7 @@ def test_incremental_evaluator_tracks_direct_route(task, variant):
     """Chained O(samples) updates agree with the full forward pass."""
     _, train, _ = task
     cfg = EvoConfig(variant=variant, generations=0)
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(40)
     net = seed_population(cfg, train.n, train, rng)[0].network
     state = evaluator.full_states([net])[0]
@@ -358,7 +340,7 @@ def test_incremental_evaluator_tracks_direct_route(task, variant):
         net, change = describe_mutation(net, cfg, rng)
         state = evaluator.child_state(state, net, change)
         if step % 25 == 0:
-            direct = mse(net, train, np.random.default_rng(step), cfg.drop_prob)
+            direct = mse(net, train, np.random.default_rng(step))
             cached = evaluator.score(net, state, np.random.default_rng(step))
             assert cached == pytest.approx(direct, abs=1e-9)
     fresh = evaluator.full_states([net])[0]
@@ -369,7 +351,7 @@ def test_incremental_evaluator_tracks_direct_route(task, variant):
 def test_incremental_evaluator_is_bitwise_for_gateless_networks(task):
     _, train, _ = task
     cfg = EvoConfig()
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    evaluator = TrainEvaluator(train)
     pop = seed_population(cfg, train.n, train, np.random.default_rng(41))
     for member in pop[:5]:
         state = evaluator.full_states([member.network])[0]
@@ -380,7 +362,7 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
     """Parsimony ties rely on exact equality when a gate never fires."""
     _, train, _ = task
     cfg = EvoConfig()
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(42)
     seeded = seed_population(cfg, train.n, train, rng)[0].network
     net = seeded.child("gate_kind_in", "gate_a_in", "gate_b_in")
@@ -407,7 +389,7 @@ def test_evaluator_drop_coins_align_with_direct_route(task):
     """Same seed, same coin block order: both routes agree to rounding."""
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.RANDOM_DROPOUT)
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(43)
     seeded = seed_population(cfg, train.n, train, rng)[0].network
     net = seeded.child(
@@ -418,7 +400,7 @@ def test_evaluator_drop_coins_align_with_direct_route(task):
     net.set_output_gate(2, GateState(GateKind.DROP))
     state = evaluator.full_states([net])[0]
     cached = evaluator.score(net, state, np.random.default_rng(77))
-    direct = mse(net, train, np.random.default_rng(77), cfg.drop_prob)
+    direct = mse(net, train, np.random.default_rng(77))
     assert cached == pytest.approx(direct, abs=1e-12)
 
 

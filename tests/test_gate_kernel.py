@@ -149,7 +149,7 @@ def dataset(rng, size, n):
 # a gate, dense ones hit every node; the kind sets cover drop-only and mixed
 # layers. Eight or more terms in one sum switch NumPy to pairwise addition,
 # where the memory order of the terms decides the rounding; a high
-# drop_prob keeps most of those terms nonzero.
+# drop_prob, patched into net.DROP_PROB, keeps most of those terms nonzero.
 CASES = [
     (0.05, (1, 2, 3, 4), 0.5),
     (0.4, (1, 2, 3, 4), 0.5),
@@ -162,24 +162,26 @@ CASES = [
 
 
 @pytest.mark.parametrize("density,kinds,drop_prob", CASES)
-def test_predict_is_bitwise_the_select_oracle(density, kinds, drop_prob):
+def test_predict_is_bitwise_the_select_oracle(density, kinds, drop_prob, monkeypatch):
+    monkeypatch.setattr(net_module, "DROP_PROB", drop_prob)
     rng = np.random.default_rng(int(density * 100) + len(kinds))
     for _ in range(20):
         net = gated_network(rng, n=9, h=8, density=density, kinds=kinds)
         features = dataset(rng, 64, 9).features
         seed = int(rng.integers(2**32))
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = predict(net, features, got_rng, drop_prob)
+        got = predict(net, features, got_rng)
         want = oracle_predict(net, features.copy(), want_rng, drop_prob)
         assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
 
 
 @pytest.mark.parametrize("density,kinds,drop_prob", CASES)
-def test_score_is_bitwise_the_select_oracle(density, kinds, drop_prob):
+def test_score_is_bitwise_the_select_oracle(density, kinds, drop_prob, monkeypatch):
+    monkeypatch.setattr(net_module, "DROP_PROB", drop_prob)
     rng = np.random.default_rng(1000 + int(density * 100) + len(kinds))
     data = dataset(rng, 80, 9)
-    evaluator = TrainEvaluator(data, drop_prob)
+    evaluator = TrainEvaluator(data)
     for _ in range(20):
         net = gated_network(rng, n=9, h=8, density=density, kinds=kinds)
         state = evaluator.full_states([net])[0]
@@ -200,7 +202,7 @@ def test_full_state_is_bitwise_the_select_oracle():
     node, as the evaluator has always priced them."""
     rng = np.random.default_rng(7)
     data = dataset(rng, 80, 9)
-    evaluator = TrainEvaluator(data, DROP_PROB)
+    evaluator = TrainEvaluator(data)
     for density in (0.05, 0.4, 0.9):
         net = gated_network(rng, n=9, h=8, density=density)
         state = evaluator.full_states([net])[0]
@@ -231,7 +233,7 @@ def test_full_states_is_bitwise_the_per_member_route():
     ``_finish_state``, which finds the member's own gates."""
     rng = np.random.default_rng(8)
     data = dataset(rng, 80, 9)
-    evaluator = TrainEvaluator(data, DROP_PROB)
+    evaluator = TrainEvaluator(data)
     nets = [
         gated_network(rng, n=9, h=8, density=density, kinds=kinds)
         for density, kinds, _ in CASES
@@ -259,7 +261,7 @@ def test_drop_gates_without_an_rng_are_refused_on_every_route(layer):
         net.set_input_gate(1, 2, GateState(GateKind.DROP))
     else:
         net.set_output_gate(2, GateState(GateKind.DROP))
-    evaluator = TrainEvaluator(data, DROP_PROB)
+    evaluator = TrainEvaluator(data)
     state = evaluator.full_states([net])[0]
     with pytest.raises(ValueError, match="needs an rng"):
         predict(net, data.features)
@@ -270,7 +272,7 @@ def test_drop_gates_without_an_rng_are_refused_on_every_route(layer):
 
 
 def test_drop_coins_are_drawn_only_in_blocked_matrix():
-    """Every comparison of a ``*.random(...)`` draw against ``drop_prob``
+    """Every comparison of a ``*.random(...)`` draw against ``DROP_PROB``
     in the package sits in ``net.blocked_matrix``, so a change to how the
     coins are drawn has one place to go."""
 
@@ -282,7 +284,7 @@ def test_drop_coins_are_drawn_only_in_blocked_matrix():
         )
         names = {getattr(node, "id", getattr(node, "attr", None)) for op in operands
                  for node in ast.walk(op)}
-        return draws and "drop_prob" in names
+        return draws and "DROP_PROB" in names
 
     sites = []
     for path in sorted(Path(net_module.__file__).parent.glob("*.py")):

@@ -153,20 +153,6 @@ def test_run_cell_is_deterministic_and_cells_differ():
     ]
 
 
-def test_shared_landscape_reuses_one_task():
-    spec = tiny_spec(shared_landscape=True)
-    from dendrevo.harness import _cell_seeds
-
-    seeds_a = _cell_seeds(spec, Variant.STANDARD, 0)
-    seeds_b = _cell_seeds(spec, Variant.DENDRITE_THRESHOLD, 1)
-    assert seeds_a[0] == seeds_b[0]  # same landscape
-    assert seeds_a[1:] != seeds_b[1:]  # everything else still per cell
-    plain = tiny_spec()
-    assert _cell_seeds(plain, Variant.STANDARD, 0)[0] != _cell_seeds(
-        plain, Variant.STANDARD, 1
-    )[0]
-
-
 def test_trace_csv_round_trip(tmp_path):
     spec = tiny_spec()
     trace = run_cell(spec, Variant.DENDRITE_THRESHOLD, 0)
@@ -334,7 +320,6 @@ def test_manifest_records_every_spec_field_and_refuses_other_specs(tmp_path):
     for changed in (
         tiny_spec(master_seed=6),
         tiny_spec(encoding=Encoding.CENTER_BAND),
-        tiny_spec(shared_landscape=True),
         tiny_spec(config=EvoConfig(p=6, h=2, generations=3, r=0.2)),
     ):
         with pytest.raises(harness.SpecMismatch, match="differing fields"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dendrevo import net as net_module
 from dendrevo.net import (
     GateKind,
     GateState,
@@ -111,11 +112,11 @@ def test_gate_kinds_given_as_ints_are_checked_as_their_kind():
     assert GateState(int(GateKind.LOWER), 0.2).kind is GateKind.LOWER
 
 
-def passes(gate, values, rng=None, drop_prob=0.5):
+def passes(gate, values, rng=None):
     """Whether an active gate admits each of ``values``, by the kernel's mask."""
     kinds, a, b = np.array([int(gate.kind)]), np.array([gate.a]), np.array([gate.b])
     column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    return ~blocked_matrix(kinds, a, b, column, rng, drop_prob)[:, 0]
+    return ~blocked_matrix(kinds, a, b, column, rng)[:, 0]
 
 
 def test_gate_passes_inclusive_comparisons():
@@ -130,15 +131,17 @@ def test_gate_passes_inclusive_comparisons():
     assert predict(net, np.array([[1e9]]))[0] == expit(1.0)
 
 
-def test_drop_gate_needs_rng_and_respects_probability():
+def test_drop_gate_needs_rng_and_respects_probability(monkeypatch):
     drop = GateState(GateKind.DROP)
     with pytest.raises(ValueError):
         passes(drop, [0.0])
     outcomes = passes(drop, np.zeros(10_000), np.random.default_rng(0))
     # fair coin: 4 sigma around 5000
     assert abs(int(outcomes.sum()) - 5000) < 200
-    assert passes(drop, np.zeros(10), np.random.default_rng(1), drop_prob=0.0).all()
-    assert not passes(drop, np.zeros(10), np.random.default_rng(1), drop_prob=1.0).any()
+    monkeypatch.setattr(net_module, "DROP_PROB", 0.0)
+    assert passes(drop, np.zeros(10), np.random.default_rng(1)).all()
+    monkeypatch.setattr(net_module, "DROP_PROB", 1.0)
+    assert not passes(drop, np.zeros(10), np.random.default_rng(1)).any()
 
 
 def test_forward_matches_frozen_sigmoid_value():
@@ -173,9 +176,10 @@ def test_deterministic_gates_match_scalar_reference():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-def test_drop_gates_match_scalar_reference_at_coin_extremes():
+def test_drop_gates_match_scalar_reference_at_coin_extremes(monkeypatch):
     rng = np.random.default_rng(8)
     for drop_prob, outcome in ((0.0, True), (1.0, False)):
+        monkeypatch.setattr(net_module, "DROP_PROB", drop_prob)
         net = random_gated_network(rng, kinds=(4,), density=0.5)
         x = rng.uniform(-1, 1, size=net.n)
         decisions = {
@@ -183,7 +187,7 @@ def test_drop_gates_match_scalar_reference_at_coin_extremes():
         }
         decisions.update({(1, j, 0): outcome for j in range(net.h)})
         want = scalar_reference(net, x, decisions)
-        got = predict(net, x[None, :], np.random.default_rng(0), drop_prob)[0]
+        got = predict(net, x[None, :], np.random.default_rng(0))[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 

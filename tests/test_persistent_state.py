@@ -114,18 +114,19 @@ def oracle_child_state(features, parent_state, child, change):
     return state
 
 
-def oracle_score(data, drop_prob, net, state, rng):
+def oracle_score(data, net, state, rng):
     """The matrix-based score: a copied pre-activation matrix, the dropped
     input terms selected and summed per node by ``np.add.reduceat``, the
     deterministic output gates retracted one node at a time by a select,
-    and an ``np.take`` gather of the dropped output columns."""
+    and an ``np.take`` gather of the dropped output columns. A drop coin
+    below 0.5 blocks."""
     drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP.value)
     drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP.value)
     hidden, pre_out = state.hidden, state.det_pre_out
     if drop_in.size:
         nodes, inputs = np.divmod(drop_in, net.n)
         pre_hidden = state.det_pre_hidden.copy()
-        blocked = rng.random((len(data.targets), drop_in.size)) < drop_prob
+        blocked = rng.random((len(data.targets), drop_in.size)) < 0.5
         w = net.w_in.reshape(-1)[drop_in]
         retract = np.where(blocked, w * np.take(data.features, inputs, axis=1), 0.0)
         starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
@@ -140,7 +141,7 @@ def oracle_score(data, drop_prob, net, state, rng):
     if drop_out.size:
         values = np.take(hidden, drop_out, axis=1)
         values *= net.w_out[drop_out]
-        values *= rng.random(values.shape) < drop_prob
+        values *= rng.random(values.shape) < 0.5
         pre_out = pre_out - values.sum(axis=1)
     err = expit(pre_out) - data.targets
     return float(err @ err / err.shape[0])
@@ -172,47 +173,92 @@ def state_bytes(state):
 # --- tests ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-def test_column_states_are_bitwise_the_copy_based_oracle(task, variant):
+def check_lineages_against_the_oracle(train, cfg, seed_gates=None):
     """A small population of lineages: each step mutates a random member,
-    so children of old and new states alike are checked."""
-    _, train, _ = task
-    cfg = EvoConfig(variant=variant, p=5)
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    so children of old and new states alike are checked. ``seed_gates``
+    returns a gated child of each seeded genome. Returns the gate changes
+    and the children scored with both input drop gates and deterministic
+    output gates."""
+    evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(60)
     pop = []
     for member in seed_population(cfg, train.n, train, rng):
-        if variant is Variant.RANDOM_DROPOUT:
-            # 8 or more dropped terms in one output sum fix its layout
-            member.network = member.network.child("gate_kind_out", "gate_a_out", "gate_b_out")
-            for j in range(cfg.h):
-                member.network.set_output_gate(j, GateState(GateKind.DROP))
+        if seed_gates is not None:
+            member.network = seed_gates(member.network)
         state = evaluator.full_states([member.network])[0]
         pop.append((member.network, state, as_oracle(state)))
-    gate_changes = 0
+    gate_changes = mixed = 0
     for step in range(400):
         net, state, oracle = pop[int(rng.integers(0, len(pop)))]
         child, change = describe_mutation(net, cfg, rng)
         gate_changes += not isinstance(change, WeightChange)
+        kinds_out = child.gate_kind_out
+        mixed += bool((child.gate_kind_in == GateKind.DROP).any()) and bool(
+            ((kinds_out != GateKind.INACTIVE) & (kinds_out != GateKind.DROP)).any()
+        )
         child_state = evaluator.child_state(state, child, change)
         child_oracle = oracle_child_state(train.features, oracle, child, change)
         assert child_state.det_pre_hidden.tobytes() == child_oracle.det_pre_hidden.tobytes()
         assert hidden_matrix(child_state).tobytes() == child_oracle.hidden.tobytes()
         assert child_state.det_pre_out.tobytes() == child_oracle.det_pre_out.tobytes()
         got = evaluator.score(child, child_state, np.random.default_rng(step))
-        want = oracle_score(
-            train, cfg.drop_prob, child, child_oracle, np.random.default_rng(step)
-        )
+        want = oracle_score(train, child, child_oracle, np.random.default_rng(step))
         assert got == want
         pop[int(rng.integers(0, len(pop)))] = (child, child_state, child_oracle)
+    return gate_changes, mixed
+
+
+def all_output_drops(net):
+    # 8 or more dropped terms in one output sum fix its layout
+    net = net.child("gate_kind_out", "gate_a_out", "gate_b_out")
+    for j in range(net.h):
+        net.set_output_gate(j, GateState(GateKind.DROP))
+    return net
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_column_states_are_bitwise_the_copy_based_oracle(task, variant):
+    _, train, _ = task
+    cfg = EvoConfig(variant=variant, p=5)
+    seed_gates = all_output_drops if variant is Variant.RANDOM_DROPOUT else None
+    gate_changes, _ = check_lineages_against_the_oracle(train, cfg, seed_gates)
     if variant is not Variant.STANDARD:
         assert gate_changes > 100
+
+
+def input_drops_and_deterministic_output_gates(net):
+    net = net.child(
+        "gate_kind_in", "gate_a_in", "gate_b_in", "gate_kind_out", "gate_a_out", "gate_b_out"
+    )
+    for j in range(net.h):
+        for i in range(j % 3, net.n, 3):
+            net.set_input_gate(j, i, GateState(GateKind.DROP))
+    outputs = (
+        GateState(GateKind.LOWER, 0.5),
+        GateState(GateKind.UPPER, 0.5),
+        GateState(GateKind.RANGE, 0.3, 0.7),
+    )
+    for j in range(net.h):
+        net.set_output_gate(j, outputs[j % 3])
+    return net
+
+
+def test_input_drops_under_deterministic_output_gates_match_the_oracle(task):
+    """Input drop gates send ``score`` through the evaluator's full forward
+    step, which retracts the LOWER, UPPER and RANGE output gates node by
+    node; the oracle's own retraction loop must run for most children."""
+    _, train, _ = task
+    cfg = EvoConfig(variant=Variant.DENDRITE_THRESHOLD, p=5)
+    seed_gates = input_drops_and_deterministic_output_gates
+    gate_changes, mixed = check_lineages_against_the_oracle(train, cfg, seed_gates)
+    assert gate_changes > 100
+    assert mixed > 300
 
 
 def test_state_matrices_are_c_ordered_rebuilds_of_the_columns(task):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.DENDRITE_RANGE)
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    evaluator = TrainEvaluator(train)
     net = seed_population(cfg, train.n, train, np.random.default_rng(61))[0].network
     state = evaluator.full_states([net])[0]
     assert len(state.pre_cols) == len(state.hidden_cols) == net.h
@@ -229,7 +275,7 @@ def test_state_matrices_are_c_ordered_rebuilds_of_the_columns(task):
 def test_descendants_never_change_their_ancestors(task, variant):
     _, train, _ = task
     cfg = EvoConfig(variant=variant)
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(62)
     net = seed_population(cfg, train.n, train, rng)[0].network
     state = evaluator.full_states([net])[0]
@@ -246,7 +292,7 @@ def test_descendants_never_change_their_ancestors(task, variant):
 def test_children_share_what_their_mutation_does_not_write(task):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.DENDRITE_THRESHOLD)
-    evaluator = TrainEvaluator(train, cfg.drop_prob)
+    evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(63)
     parent = seed_population(cfg, train.n, train, rng)[0].network
     parent_state = evaluator.full_states([parent])[0]
