@@ -148,7 +148,7 @@ def _cast(source: str, raw, default):
 
 
 def _config(args: argparse.Namespace) -> dict[str, str]:
-    """The --config file's entries; every key must name a setting of the command."""
+    """The --config file's entries; each key must name a setting of the command, once."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -168,6 +168,8 @@ def _config(args: argparse.Namespace) -> dict[str, str]:
         key = key.strip()
         if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} given twice")
         values[key] = value.strip()
     return values
 

@@ -32,14 +32,16 @@ import numpy as np
 from scipy.special import expit
 
 from .net import (
-    DROP, INACTIVE, LOWER, RANGE, UPPER,
+    DROP, OPEN_KINDS,
     GateKind,
     GateState,
     Individual,
     Network,
     count_active_gates,
+    det_gates,
     mse,
     output_terms,
+    pass_mask,
     retract_input_gates,
 )
 from .nk import Dataset, NKLandscape, generate_dataset
@@ -291,26 +293,6 @@ def _replace_slot(
 # --- incremental training-set evaluation --------------------------------------
 
 
-def _pass_mask(kind: int, a: float, b: float, values: np.ndarray):
-    """Deterministic contribution factor of a gate on ``values``: a 0/1 mask
-    for threshold/range kinds, 1 otherwise (drop corrections are per pass)."""
-    if kind == LOWER:
-        passed = values >= a
-    elif kind == UPPER:
-        passed = values <= a
-    elif kind == RANGE:
-        passed = (values >= a) & (values <= b)
-    else:
-        return 1.0
-    return passed.astype(np.float64)
-
-
-def _output_mask(net: Network, j: int, values: np.ndarray):
-    """``_pass_mask`` of the gate on hidden node j's output connection."""
-    kind = int(net.gate_kind_out[j])
-    return _pass_mask(kind, net.gate_a_out[j], net.gate_b_out[j], values)
-
-
 @dataclass
 class EvalState:
     """Deterministic evaluation state of one network on one dataset.
@@ -355,8 +337,6 @@ class TrainEvaluator:
         which is what makes per-generation training-set resampling
         affordable.
         """
-        if not nets:
-            return []
         h = nets[0].h
         products = self.features @ np.hstack([net.w_in.T for net in nets])  # (S, len*h)
         products += np.concatenate([net.b_hidden for net in nets])
@@ -368,7 +348,7 @@ class TrainEvaluator:
     def _finish_state(self, net: Network, pre_hidden: np.ndarray) -> EvalState:
         """Apply deterministic gate retractions, in place, and price the
         output layer."""
-        flat = _det_gates(net.gate_kind_in.reshape(-1))
+        flat = det_gates(net.gate_kind_in.reshape(-1))
         hidden, det_pre_out = self._forward(net, pre_hidden, flat)
         # Independent columns: a view would keep the whole matrix alive.
         return EvalState(
@@ -385,7 +365,7 @@ class TrainEvaluator:
             retract_input_gates(net, pre_hidden, self.features, flat, rng)
         hidden = expit(pre_hidden)
         pre_out = hidden @ net.w_out + net.b_out
-        det = _det_gates(net.gate_kind_out)
+        det = det_gates(net.gate_kind_out)
         if det.size:
             for terms in output_terms(net, hidden.T, det).T:
                 pre_out -= terms
@@ -396,11 +376,13 @@ class TrainEvaluator:
         """The parent state with node j's pre-activation column set to pre_j
         and the change carried through; the other columns are shared."""
         h_old, h_new = parent.hidden_cols[j], expit(pre_j)
-        if int(child.gate_kind_out[j]) in (INACTIVE, DROP):
+        kind = int(child.gate_kind_out[j])
+        if kind in OPEN_KINDS:
             diff = h_new - h_old
         else:
-            diff = h_new * _output_mask(child, j, h_new)
-            diff -= h_old * _output_mask(child, j, h_old)
+            a, b = child.gate_a_out[j], child.gate_b_out[j]
+            diff = h_new * pass_mask(kind, a, b, h_new)
+            diff -= h_old * pass_mask(kind, a, b, h_old)
         return EvalState(
             parent.pre_cols[:j] + (pre_j,) + parent.pre_cols[j + 1 :],
             parent.hidden_cols[:j] + (h_new,) + parent.hidden_cols[j + 1 :],
@@ -418,20 +400,22 @@ class TrainEvaluator:
             if change.kind == _FIELD_W_IN:
                 column = self.features[:, i]
                 kind = int(child.gate_kind_in[j, i])
-                mask = _pass_mask(kind, child.gate_a_in[j, i], child.gate_b_in[j, i], column)
+                mask = pass_mask(kind, child.gate_a_in[j, i], child.gate_b_in[j, i], column)
                 term = change.delta * column * mask
                 return self._with_node(child, parent_state, j, pre[j] + term)
             if change.kind == _FIELD_B_HIDDEN:
                 return self._with_node(child, parent_state, j, pre[j] + change.delta)
             if change.kind == _FIELD_W_OUT:
-                term = change.delta * hidden[j] * _output_mask(child, j, hidden[j])
+                kind = int(child.gate_kind_out[j])
+                mask = pass_mask(kind, child.gate_a_out[j], child.gate_b_out[j], hidden[j])
+                term = change.delta * hidden[j] * mask
             else:
                 term = change.delta
             return EvalState(pre, hidden, parent_state.det_pre_out + term)
         old, new, out = change.old, change.new, change.output_layer
         values = hidden[j] if out else self.features[:, i]
         term = float(child.w_out[j] if out else child.w_in[j, i]) * values * (
-            _pass_mask(new.kind, new.a, new.b, values) - _pass_mask(old.kind, old.a, old.b, values)
+            pass_mask(new.kind, new.a, new.b, values) - pass_mask(old.kind, old.a, old.b, values)
         )
         if out:
             return EvalState(pre, hidden, parent_state.det_pre_out + term)
@@ -455,11 +439,6 @@ class TrainEvaluator:
             pre_out = pre_out - terms.sum(axis=1)
         err = expit(pre_out) - self.targets
         return float(err @ err / err.shape[0])
-
-
-def _det_gates(kinds: np.ndarray) -> np.ndarray:
-    """Indices of the LOWER, UPPER and RANGE gates among ``kinds``."""
-    return np.flatnonzero((kinds != INACTIVE) & (kinds != DROP))
 
 
 # --- the steady-state loop -----------------------------------------------------

@@ -43,6 +43,8 @@ class GateKind(IntEnum):
 # Plain ints for array compares: an enum member lookup costs about 1 us
 # and, compared with an array, takes NumPy's slow enum path.
 INACTIVE, LOWER, UPPER, RANGE, DROP = (kind.value for kind in GateKind)
+#: The kinds whose deterministic pass factor is 1: drop coins are per pass.
+OPEN_KINDS = (INACTIVE, DROP)
 
 # Each kind's .dnet tag and how many parameters (a, then b) follow it.
 _DNET_GATES = {
@@ -197,6 +199,25 @@ def blocked_matrix(
     if drops.size:
         blocked[:, drops] = coins
     return blocked
+
+
+def pass_mask(kind: int, a: float, b: float, values: np.ndarray):
+    """Deterministic pass factor of one gate on ``values``, the single-gate form
+    of ``blocked_matrix``'s rule: a 0/1 mask for LOWER, UPPER and RANGE, else 1."""
+    if kind == LOWER:
+        passed = values >= a
+    elif kind == UPPER:
+        passed = values <= a
+    elif kind == RANGE:
+        passed = (values >= a) & (values <= b)
+    else:
+        return 1.0
+    return passed.astype(np.float64)
+
+
+def det_gates(kinds: np.ndarray) -> np.ndarray:
+    """Indices of the LOWER, UPPER and RANGE gates among ``kinds``."""
+    return np.flatnonzero((kinds != INACTIVE) & (kinds != DROP))
 
 
 def gate_terms(

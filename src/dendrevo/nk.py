@@ -133,8 +133,10 @@ def _table_rows(landscape: NKLandscape, bits: np.ndarray) -> np.ndarray:
     """Gene-major (n, batch) table row indices for a (batch, n) bit matrix:
     own bit lowest, neighbor bits above it in neighbor-list order. The
     words are the narrowest unsigned type that holds k+1 bits."""
+    # Another dtype is checked before the cast, which would turn 0.5 and 256 into 0.
+    non_binary = bits.dtype != np.uint8 and np.any((bits != 0) & (bits != 1))
     genes = np.ascontiguousarray(bits.T, dtype=np.uint8)
-    if genes.max(initial=0) > 1:
+    if non_binary or genes.max(initial=0) > 1:
         raise ValueError("genomes must hold only 0 and 1")
     rows = genes.astype(np.min_scalar_type(2 ** (landscape.k + 1) - 1))
     shifted = np.empty_like(rows)

@@ -36,12 +36,12 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi]: 1/2/5 times a power of ten."""
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round tick positions covering [lo, hi]: 1/2/5 times a power of ten."""
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / max(target, 1)
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0):
@@ -129,7 +129,7 @@ def _frame_axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def trace_chart(rows, title: str = "error and gate use by generation") -> str:
+def trace_chart(rows) -> str:
     """Chart a trace table: (variant, run, record) rows.
 
     Per variant, the solid line is the run-mean of best test MSE by
@@ -193,10 +193,10 @@ def trace_chart(rows, title: str = "error and gate use by generation") -> str:
         ly = _MARGIN_TOP + 6 + 16 * idx
         body.append(_line(frame.left + 8, ly, frame.left + 30, ly, color, 2.0))
         body.append(_text(frame.left + 36, ly + 4, variant, anchor="start", size=11))
-    return _document(title, body)
+    return _document("error and gate use by generation", body)
 
 
-def sweep_chart(rows, title: str = "error by input size") -> str:
+def sweep_chart(rows) -> str:
     """Chart sweep rows: (n, variant, split, mean, min, max).
 
     Input sizes sit at evenly spaced positions in first-appearance
@@ -246,4 +246,4 @@ def sweep_chart(rows, title: str = "error by input size") -> str:
         ly = _MARGIN_TOP + 6 + 16 * idx
         body.append(_line(frame.left + 8, ly, frame.left + 30, ly, color, 2.0, dashed))
         body.append(_text(frame.left + 36, ly + 4, f"{key[0]} {key[1]}", anchor="start", size=11))
-    return _document(title, body)
+    return _document("error by input size", body)

@@ -175,6 +175,17 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_rejects_a_key_given_twice(tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg = tmp_path / "exp.cfg"
+    text = config_text(out).replace("generations = 2\n", "generations = 1\n") + "generations = 3\n"
+    cfg.write_text(text)
+    lineno = len(text.splitlines())
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{cfg}:{lineno}: config key 'generations' given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, key", [("sweep", "variants"), ("compare", "n_values"), ("run", "variants")]
 )
@@ -195,6 +206,9 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     cfg.write_text("n 8\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "expected 'key = value'" in capsys.readouterr().err
+    cfg.write_text("plot = maybe\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "plot: expected a boolean, got 'maybe'" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -207,6 +221,10 @@ def test_unknown_variant_is_a_usage_error(tmp_path, capsys):
     rc = main(["run", *TINY, "--variant", "quantum", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "unknown variant" in capsys.readouterr().err
+    rc = main(["run", *TINY, "--variant", "standard,dendrite", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "run takes one variant; compare takes several" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_encoding_is_a_usage_error(tmp_path, capsys):

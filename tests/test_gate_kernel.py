@@ -4,7 +4,9 @@ The oracles below keep the earlier formulation of the retraction: a
 boolean pass mask per gate kind, ``np.where(passed, 0.0, w * values)``
 and a per-node ``np.add.reduceat``. The kernel zeroes blocked terms by a
 0/1 multiply instead; outputs, scores and the rng stream position must
-not move by a single bit.
+not move by a single bit. The boundary tests at the end hold the
+incremental evaluator's single-gate rule, ``net.pass_mask``, to the
+kernel's ``blocked_matrix`` on every threshold and edge.
 """
 
 import ast
@@ -15,8 +17,15 @@ import pytest
 from scipy.special import expit
 
 from dendrevo import net as net_module
-from dendrevo.evolve import TrainEvaluator
-from dendrevo.net import GateKind, GateState, Network, mse, predict
+from dendrevo.evolve import (
+    _FIELD_B_HIDDEN, _FIELD_W_IN, _FIELD_W_OUT,
+    GateChange,
+    TrainEvaluator,
+    WeightChange,
+)
+from dendrevo.net import (
+    GateKind, GateState, Network, blocked_matrix, mse, pass_mask, predict,
+)
 from dendrevo.nk import Dataset, Encoding
 
 DROP_PROB = 0.5
@@ -316,3 +325,129 @@ def test_blocked_matrix_is_called_only_by_gate_terms():
                     )
                 ]
     assert sites == [("net", "gate_terms")]
+
+
+# --- the inclusive rule's two forms -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gate, passes",
+    [
+        (GateState(GateKind.LOWER, 0.1), [0, 1, 1]),
+        (GateState(GateKind.UPPER, -0.3), [1, 1, 0]),
+        (GateState(GateKind.RANGE, -0.3, 0.1), [0, 1, 1, 1, 1, 0]),
+        (GateState(GateKind.RANGE, 0.7, 0.7), [0, 1, 0, 0, 1, 0]),
+    ],
+    ids=["lower", "upper", "range", "range-point"],
+)
+def test_pass_mask_is_the_complement_of_blocked_matrix_at_every_edge(gate, passes):
+    """The evaluator's single-gate rule and the full pass's matrix rule agree
+    on each threshold or edge and one ulp either side of it."""
+    edges = (gate.a, gate.b) if gate.kind is GateKind.RANGE else (gate.a,)
+    values = np.array([
+        v for e in edges for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))
+    ])
+    kinds = np.array([gate.kind], dtype=np.uint8)
+    blocked = blocked_matrix(kinds, np.array([gate.a]), np.array([gate.b]), values[:, None])
+    got = pass_mask(int(gate.kind), gate.a, gate.b, values)
+    assert got.tolist() == passes
+    assert got.tobytes() == (1.0 - blocked[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("kind", [GateKind.INACTIVE, GateKind.DROP])
+def test_pass_mask_lets_inactive_and_drop_gates_through(kind):
+    assert pass_mask(int(kind), 0.0, 0.0, np.array([-1.0, 0.0, 1.0])) == 1.0
+
+
+# Gates with an edge exactly at t: both thresholds, both edges of a range,
+# and the point range.
+BOUNDARY_GATES = {
+    "lower": lambda t: GateState(GateKind.LOWER, t),
+    "upper": lambda t: GateState(GateKind.UPPER, t),
+    "range-low-edge": lambda t: GateState(GateKind.RANGE, t, t + 0.5),
+    "range-high-edge": lambda t: GateState(GateKind.RANGE, t - 0.5, t),
+    "range-point": lambda t: GateState(GateKind.RANGE, t, t),
+}
+
+
+def assert_child_state_is_the_full_pricing(evaluator, parent, child, change, exact_hidden):
+    got = evaluator.child_state(evaluator.full_states([parent])[0], child, change)
+    want = evaluator.full_states([child])[0]
+    if exact_hidden:
+        assert got.det_pre_hidden.tobytes() == want.det_pre_hidden.tobytes()
+    else:
+        np.testing.assert_allclose(got.det_pre_hidden, want.det_pre_hidden, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.det_pre_out, want.det_pre_out, rtol=0, atol=1e-12)
+
+
+def boundary_setup(seed):
+    """An ungated network, its evaluator and a sample far from zero, so a
+    term that one rule admits and the other blocks shows in the sums."""
+    rng = np.random.default_rng(seed)
+    data = dataset(rng, 80, 5)
+    net = gated_network(rng, n=5, h=3, density=0.0)
+    s = int(np.flatnonzero(np.abs(data.features[:, 2]) > 0.3)[0])
+    return TrainEvaluator(data), net, s
+
+
+@pytest.mark.parametrize("make_gate", BOUNDARY_GATES.values(), ids=BOUNDARY_GATES)
+def test_input_gate_on_a_feature_value_prices_incrementally_as_in_full(make_gate):
+    """An input-gate edge exactly on a training feature value, and an output
+    gate on the same node with its edge exactly on the child's activation."""
+    evaluator, parent, s = boundary_setup(21)
+    j, i = 1, 2
+    gate = make_gate(float(evaluator.features[s, i]))
+    child = parent.child("gate_kind_in", "gate_a_in", "gate_b_in")
+    child.set_input_gate(j, i, gate)
+    on_hidden = float(evaluator.full_states([child])[0].hidden_cols[j][s])
+    # The child shares the parent's output-gate arrays, so this gates both.
+    parent.set_output_gate(j, make_gate(on_hidden))
+    change = GateChange(False, j, i, GateState(), gate)
+    assert_child_state_is_the_full_pricing(evaluator, parent, child, change, exact_hidden=True)
+
+    gated = child
+    child = gated.child("w_in")
+    child.w_in[j, i] += 0.25
+    change = WeightChange(_FIELD_W_IN, j, i, 0.25)
+    assert_child_state_is_the_full_pricing(evaluator, gated, child, change, exact_hidden=False)
+
+
+@pytest.mark.parametrize("make_gate", BOUNDARY_GATES.values(), ids=BOUNDARY_GATES)
+def test_output_gate_on_a_hidden_activation_prices_incrementally_as_in_full(make_gate):
+    """An output-gate edge exactly on a hidden activation, reached by a gate
+    change, an output-weight change and a hidden-bias change."""
+    evaluator, parent, s = boundary_setup(22)
+    j = 2
+    gate = make_gate(float(evaluator.full_states([parent])[0].hidden_cols[j][s]))
+    child = parent.child("gate_kind_out", "gate_a_out", "gate_b_out")
+    child.set_output_gate(j, gate)
+    change = GateChange(True, j, 0, GateState(), gate)
+    assert_child_state_is_the_full_pricing(evaluator, parent, child, change, exact_hidden=True)
+
+    gated = child
+    for field, name in ((_FIELD_W_OUT, "w_out"), (_FIELD_B_HIDDEN, "b_hidden")):
+        child = gated.child(name)
+        getattr(child, name)[j] += 0.25
+        change = WeightChange(field, j, 0, 0.25)
+        assert_child_state_is_the_full_pricing(evaluator, gated, child, change, exact_hidden=False)
+
+
+def test_plain_int_gate_kinds_are_named_only_in_net():
+    """Only ``net`` says what each gate kind admits: no other module names the
+    plain-int kinds INACTIVE, LOWER, UPPER or RANGE (``GateKind`` members are
+    fine), so a change to gate semantics touches one module."""
+    rule_kinds = {"INACTIVE", "LOWER", "UPPER", "RANGE"}
+    sites = set()
+    for path in sorted(Path(net_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named = {node.id}
+            elif isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) != "GateKind":
+                named = {node.attr}
+            else:
+                continue
+            if named & rule_kinds:
+                sites.add(path.stem)
+    assert sites == {"net"}

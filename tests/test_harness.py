@@ -305,6 +305,12 @@ def test_cached_cell_with_a_foreign_genome_is_refused(tmp_path):
     save_network(Network(spec.n, 3), out / "runs" / "standard-run001.dnet")
     with pytest.raises(ValueError, match="genome shape"):
         run_experiment(spec, out_dir=out)
+    # Another cell's trace, of the right length, under this cell's name.
+    runs = out / "runs"
+    trace = (runs / "standard-run000.trace.csv").read_bytes()
+    (runs / "standard-run001.trace.csv").write_bytes(trace)
+    with pytest.raises(ValueError, match=r"rows do not match cell \(standard, 1\)"):
+        run_experiment(spec, out_dir=out)
 
 
 def test_manifest_records_every_spec_field_and_refuses_other_specs(tmp_path):

@@ -374,6 +374,18 @@ def test_load_network_rejects_malformed_files(tmp_path):
     bad_gate.write_text(text.replace("0 0 0 0 I", "0 0 0 0 L", 1))
     with pytest.raises(ValueError, match="gate"):
         load_network(bad_gate)
+    # Lines that name no parameter of the header's shape.
+    for line, message in (
+        ("0 0 0", "line 3: too few fields"),
+        ("0 1 0 0 I", "line 3: index out of range"),
+        ("1 0 1 0 I", "line 3: index out of range"),
+        ("2 0 0 0 I", "line 3: unknown layer 2"),
+    ):
+        bad_line = tmp_path / "bad_line.dnet"
+        lines = text.splitlines()
+        bad_line.write_text("\n".join(lines[:2] + [line] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_network(bad_line)
     # An inactive tag takes no parameter.
     tagged = tmp_path / "tagged_inactive.dnet"
     tagged.write_text(text.replace("0 0 0 0 I", "0 0 0 0 I 0.3", 1))

@@ -177,6 +177,11 @@ def test_evaluate_genomes_validates_shape():
         evaluate_genomes(land, np.zeros(6, dtype=np.uint8))
     with pytest.raises(ValueError):
         evaluate_genomes(land, np.full((2, 6), 2))
+    # A cast to uint8 would read each of these as an all-zeros genome.
+    land = build_landscape(8, 2, 1)
+    for bad in (np.full((1, 8), 0.5), np.full((1, 8), 0.9), np.full((1, 8), 256, np.int64)):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            evaluate_genomes(land, bad)
 
 
 def test_exhaustive_fitness_stays_in_unit_interval():
