@@ -24,7 +24,6 @@ every genome array and state column that its mutation does not write.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,7 +117,7 @@ def seed_population(
     blank = Network(n, config.h)
     pop: Population = []
     for _ in range(config.p):
-        net = copy.copy(blank)
+        net = blank.child()
         net.w_in = rng.uniform(-1.0, 1.0, size=(config.h, n))
         net.b_hidden = rng.uniform(-1.0, 1.0, size=config.h)
         net.w_out = rng.uniform(-1.0, 1.0, size=config.h)

@@ -293,17 +293,14 @@ def _load_cached_cell(
     return RunTrace(records=[rec for _, _, rec in rows], final_network=network)
 
 
-def _run_and_store(
-    spec: ExperimentSpec, variant: Variant, run: int, runs_dir: Path | None
-) -> RunTrace:
+def _run_and_store(spec: ExperimentSpec, variant: Variant, run: int, runs_dir: Path) -> RunTrace:
     """Worker entry point; wraps failures with the cell identity."""
     try:
         trace = run_cell(spec, variant, run)
-        if runs_dir is not None:
-            csv_path, dnet_path = _cell_paths(runs_dir, variant, run)
-            # Genome first: the trace file is the completion marker.
-            _atomic_write(dnet_path, lambda tmp: save_network(trace.final_network, tmp))
-            write_trace_csv(csv_path, [(variant, run, trace)])
+        csv_path, dnet_path = _cell_paths(runs_dir, variant, run)
+        # Genome first: the trace file is the completion marker.
+        _atomic_write(dnet_path, lambda tmp: save_network(trace.final_network, tmp))
+        write_trace_csv(csv_path, [(variant, run, trace)])
         return trace
     except Exception as exc:
         raise RuntimeError(
@@ -311,7 +308,7 @@ def _run_and_store(
         ) from exc
 
 
-def _finish_cells(spec: ExperimentSpec, pending: list, runs_dir: Path | None, workers: int):
+def _finish_cells(spec: ExperimentSpec, pending: list, runs_dir: Path, workers: int):
     """Yield ((variant, run), trace) for each pending cell as it finishes:
     lazily in grid order in this process, or in completion order from a
     pool of ``workers`` processes when more than one cell is pending."""
@@ -327,34 +324,30 @@ def _finish_cells(spec: ExperimentSpec, pending: list, runs_dir: Path | None, wo
 
 def run_experiment(
     spec: ExperimentSpec,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     workers: int = 1,
     log: Logger | None = None,
 ) -> ExperimentResult:
     """Run (or resume) every cell and return traces in grid order.
 
-    With an out_dir, each finished cell leaves a trace CSV and a genome
-    file under out_dir/runs/; on a rerun those cells are loaded instead
-    of recomputed. out_dir/manifest.json records the spec, and a rerun
+    Each finished cell leaves a trace CSV and a genome file under
+    out_dir/runs/; on a rerun those cells are loaded instead of
+    recomputed. out_dir/manifest.json records the spec, and a rerun
     under a different spec raises :class:`SpecMismatch` naming the
     differing fields. workers > 1 spreads pending cells over processes;
     results are identical either way because every cell is self-seeded.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    runs_dir: Path | None = None
-    if out_dir is not None:
-        runs_dir = Path(out_dir) / "runs"
-        runs_dir.mkdir(parents=True, exist_ok=True)
-        _check_manifest(Path(out_dir), spec)
+    runs_dir = Path(out_dir) / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    _check_manifest(Path(out_dir), spec)
 
     done: dict[tuple[Variant, int], RunTrace] = {}
     pending: list[tuple[Variant, int]] = []
     for variant in spec.variants:
         for run in range(spec.runs):
-            cached = (
-                _load_cached_cell(runs_dir, spec, variant, run) if runs_dir else None
-            )
+            cached = _load_cached_cell(runs_dir, spec, variant, run)
             if cached is not None:
                 done[(variant, run)] = cached
                 if log:
@@ -527,7 +520,7 @@ class SweepRow:
 def sweep_n(
     spec: ExperimentSpec,
     n_values: list[int],
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     workers: int = 1,
     log: Logger | None = None,
 ) -> list[SweepRow]:
@@ -547,7 +540,7 @@ def sweep_n(
         )
     rows = []
     for n in n_values:
-        sub_dir = Path(out_dir) / f"n-{n}" if out_dir is not None else None
+        sub_dir = Path(out_dir) / f"n-{n}"
         result = run_experiment(dc_replace(spec, n=n), out_dir=sub_dir, workers=workers, log=log)
         for variant in spec.variants:
             for split in ("train", "test"):

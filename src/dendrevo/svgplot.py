@@ -14,14 +14,16 @@ from collections import defaultdict
 
 _WIDTH = 720
 _HEIGHT = 440
-_MARGIN_LEFT = 72
-_MARGIN_RIGHT = 78
-_MARGIN_TOP = 46
-_MARGIN_BOTTOM = 58
+# Edges of the plot rectangle in pixels.
+_LEFT = 72
+_RIGHT = _WIDTH - 78
+_TOP = 46
+_BOTTOM = _HEIGHT - 58
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
+_DASH = ' stroke-dasharray="6,4"'
 
 
 def _coord(x: float) -> str:
@@ -53,33 +55,19 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [i * step for i in range(first, last + 1)]
 
 
-class _Frame:
-    """Maps data coordinates into the plot rectangle."""
+def _axis(lo: float, hi: float, start: float, end: float):
+    """Map data [lo, hi] onto pixels start..end, with the ticks of that range.
 
-    def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        if x_hi <= x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
-        self.left = _MARGIN_LEFT
-        self.right = _WIDTH - _MARGIN_RIGHT
-        self.top = _MARGIN_TOP
-        self.bottom = _HEIGHT - _MARGIN_BOTTOM
-
-    def x(self, v: float) -> float:
-        frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
-        return self.left + frac * (self.right - self.left)
-
-    def y(self, v: float) -> float:
-        frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return self.bottom - frac * (self.bottom - self.top)
+    An empty range widens to one unit, for the map and the ticks alike.
+    """
+    if hi <= lo:
+        hi = lo + 1.0
+    return (lambda v: start + (v - lo) / (hi - lo) * (end - start)), _ticks(lo, hi)
 
 
 def _polyline(points: list[tuple[float, float]], color: str, dashed: bool) -> str:
     coords = " ".join(f"{_coord(x)},{_coord(y)}" for x, y in points)
-    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    dash = _DASH if dashed else ""
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} '
         f'points="{coords}"/>'
@@ -94,39 +82,57 @@ def _text(x: float, y: float, s: str, anchor: str = "middle", size: int = 12) ->
 
 
 def _line(x1, y1, x2, y2, color="#333333", width=1.0, dashed=False) -> str:
-    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    dash = _DASH if dashed else ""
     return (
         f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" '
         f'y2="{_coord(y2)}" stroke="{color}" stroke-width="{width}"{dash}/>'
     )
 
 
-def _document(title: str, body: list[str]) -> str:
-    head = [
+def _tick_column(y, ticks: list[float], x: int, side: int) -> list[str]:
+    """Ticks and labels of a y axis at x, facing left (side -1) or right (+1)."""
+    anchor = "end" if side < 0 else "start"
+    parts = []
+    for tick in ticks:
+        parts.append(_line(x + 4 * min(side, 0), y(tick), x + 4 * max(side, 0), y(tick)))
+        parts.append(_text(x + 8 * side, y(tick) + 4, _label(tick), anchor=anchor, size=11))
+    return parts
+
+
+def _axis_title(x: int, s: str, angle: int) -> str:
+    """A y axis title at x (an int, written bare), turned by angle degrees about its centre."""
+    mid = _coord((_TOP + _BOTTOM) / 2)
+    return (
+        f'<text x="{x}" y="{mid}" {_FONT} font-size="12" text-anchor="middle" '
+        f'transform="rotate({angle} {x} {mid})">{_esc(s)}</text>'
+    )
+
+
+def _legend(idx: int, color: str, name: str, dashed: bool = False) -> list[str]:
+    ly = _TOP + 6 + 16 * idx
+    return [
+        _line(_LEFT + 8, ly, _LEFT + 30, ly, color, 2.0, dashed),
+        _text(_LEFT + 36, ly + 4, name, anchor="start", size=11),
+    ]
+
+
+def _chart(title, x_label, x_ticks, y_label, y, y_ticks, body: list[str]) -> str:
+    """The document: head, frame, left y axis, x ticks at (pixel, label), then body."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         _text(_WIDTH / 2, 24, title, size=15),
+        _line(_LEFT, _BOTTOM, _RIGHT, _BOTTOM),
+        _line(_LEFT, _TOP, _LEFT, _BOTTOM),
+        _text((_LEFT + _RIGHT) / 2, _HEIGHT - 16, x_label),
+        *_tick_column(y, y_ticks, _LEFT, -1),
+        _axis_title(18, y_label, -90),
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
-
-
-def _frame_axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
-    parts = [
-        _line(frame.left, frame.bottom, frame.right, frame.bottom),
-        _line(frame.left, frame.top, frame.left, frame.bottom),
-        _text((frame.left + frame.right) / 2, _HEIGHT - 16, x_label),
-    ]
-    for tick in _ticks(frame.y_lo, frame.y_hi):
-        y = frame.y(tick)
-        parts.append(_line(frame.left - 4, y, frame.left, y))
-        parts.append(_text(frame.left - 8, y + 4, _label(tick), anchor="end", size=11))
-    parts.append(
-        f'<text x="18" y="{_coord((frame.top + frame.bottom) / 2)}" {_FONT} '
-        f'font-size="12" text-anchor="middle" transform="rotate(-90 18 '
-        f'{_coord((frame.top + frame.bottom) / 2)})">{_esc(y_label)}</text>'
-    )
-    return parts
+    for x, label in x_ticks:
+        parts.append(_line(x, _BOTTOM, x, _BOTTOM + 4))
+        parts.append(_text(x, _BOTTOM + 18, label, size=11))
+    return "\n".join(parts + body + ["</svg>"]) + "\n"
 
 
 def trace_chart(rows) -> str:
@@ -145,55 +151,29 @@ def trace_chart(rows) -> str:
         mses, fracs = by_gen[variant][rec.generation]
         mses.append(rec.best_test_mse)
         fracs.append(rec.best_gate_fraction)
+    # variant -> [(generation, mean test MSE, mean gate fraction)] by generation
+    means = {
+        variant: [(g, sum(m) / len(m), sum(f) / len(f)) for g, (m, f) in sorted(gens.items())]
+        for variant, gens in by_gen.items()
+    }
+    points = [p for pts in means.values() for p in pts]
+    f_hi = max(f for _, _, f in points)
+    x, g_ticks = _axis(0.0, float(max(g for g, _, _ in points)), _LEFT, _RIGHT)
+    y, y_ticks = _axis(0.0, max(m for _, m, _ in points) * 1.05, _BOTTOM, _TOP)
+    fy, f_ticks = _axis(0.0, f_hi * 1.25 if f_hi > 0 else 1.0, _BOTTOM, _TOP)
 
-    series: dict[str, list[tuple[int, float]]] = {}
-    frac_series: dict[str, list[tuple[int, float]]] = {}
-    for variant, gens in by_gen.items():
-        points = sorted(gens.items())
-        series[variant] = [(g, sum(mses) / len(mses)) for g, (mses, _) in points]
-        frac_series[variant] = [(g, sum(fracs) / len(fracs)) for g, (_, fracs) in points]
-
-    x_hi = max(g for pts in series.values() for g, _ in pts)
-    y_hi = max(v for pts in series.values() for _, v in pts) * 1.05
-    f_hi = max(v for pts in frac_series.values() for _, v in pts)
-    f_hi = f_hi * 1.25 if f_hi > 0 else 1.0
-    frame = _Frame(0.0, float(x_hi), 0.0, y_hi)
-    frac_frame = _Frame(0.0, float(x_hi), 0.0, f_hi)
-
-    body = _frame_axes(frame, "generation", "test MSE")
-    for tick in _ticks(frame.x_lo, frame.x_hi):
-        x = frame.x(tick)
-        body.append(_line(x, frame.bottom, x, frame.bottom + 4))
-        body.append(_text(x, frame.bottom + 18, _label(tick), size=11))
     # Secondary axis on the right for the gate fraction scale.
-    body.append(_line(frame.right, frame.top, frame.right, frame.bottom))
-    for tick in _ticks(frac_frame.y_lo, frac_frame.y_hi):
-        y = frac_frame.y(tick)
-        body.append(_line(frame.right, y, frame.right + 4, y))
-        body.append(_text(frame.right + 8, y + 4, _label(tick), anchor="start", size=11))
-    mid_y = (frame.top + frame.bottom) / 2
-    body.append(
-        f'<text x="{_WIDTH - 14}" y="{_coord(mid_y)}" {_FONT} font-size="12" '
-        f'text-anchor="middle" transform="rotate(90 {_WIDTH - 14} '
-        f'{_coord(mid_y)})">gate fraction (dashed)</text>'
-    )
-
-    for idx, variant in enumerate(series):
+    body = [_line(_RIGHT, _TOP, _RIGHT, _BOTTOM), *_tick_column(fy, f_ticks, _RIGHT, 1)]
+    body.append(_axis_title(_WIDTH - 14, "gate fraction (dashed)", 90))
+    for idx, (variant, pts) in enumerate(means.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        body.append(
-            _polyline([(frame.x(g), frame.y(v)) for g, v in series[variant]], color, False)
-        )
-        body.append(
-            _polyline(
-                [(frac_frame.x(g), frac_frame.y(v)) for g, v in frac_series[variant]],
-                color,
-                True,
-            )
-        )
-        ly = _MARGIN_TOP + 6 + 16 * idx
-        body.append(_line(frame.left + 8, ly, frame.left + 30, ly, color, 2.0))
-        body.append(_text(frame.left + 36, ly + 4, variant, anchor="start", size=11))
-    return _document("error and gate use by generation", body)
+        body.append(_polyline([(x(g), y(m)) for g, m, _ in pts], color, False))
+        body.append(_polyline([(x(g), fy(f)) for g, _, f in pts], color, True))
+        body += _legend(idx, color, variant)
+    x_ticks = [(x(tick), _label(tick)) for tick in g_ticks]
+    return _chart(
+        "error and gate use by generation", "generation", x_ticks, "test MSE", y, y_ticks, body
+    )
 
 
 def sweep_chart(rows) -> str:
@@ -214,14 +194,9 @@ def sweep_chart(rows) -> str:
     n_values = list(dict.fromkeys(n for n, *_ in rows))
     series_keys = list(data)
 
-    y_hi = max(hi for _n, _v, _s, _m, _lo, hi in rows) * 1.05
-    frame = _Frame(-0.5, len(n_values) - 0.5, 0.0, y_hi)
-    body = _frame_axes(frame, "inputs (n)", "MSE")
-    for pos, n in enumerate(n_values):
-        x = frame.x(pos)
-        body.append(_line(x, frame.bottom, x, frame.bottom + 4))
-        body.append(_text(x, frame.bottom + 18, str(n), size=11))
-
+    x, _ = _axis(-0.5, len(n_values) - 0.5, _LEFT, _RIGHT)
+    y, y_ticks = _axis(0.0, max(hi for *_, hi in rows) * 1.05, _BOTTOM, _TOP)
+    body = []
     width = min(0.36, 0.8 / max(len(series_keys), 1))
     for idx, key in enumerate(series_keys):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -232,18 +207,14 @@ def sweep_chart(rows) -> str:
             if n not in data[key]:
                 continue
             mean, lo, hi = data[key][n]
-            x = frame.x(pos + offset)
-            points.append((x, frame.y(mean)))
-            body.append(_line(x, frame.y(lo), x, frame.y(hi), color, 1.0))
-            body.append(_line(x - 3, frame.y(lo), x + 3, frame.y(lo), color, 1.0))
-            body.append(_line(x - 3, frame.y(hi), x + 3, frame.y(hi), color, 1.0))
-            body.append(
-                f'<circle cx="{_coord(x)}" cy="{_coord(frame.y(mean))}" r="3" '
-                f'fill="{color}"/>'
-            )
+            px = x(pos + offset)
+            points.append((px, y(mean)))
+            body.append(_line(px, y(lo), px, y(hi), color, 1.0))
+            body.append(_line(px - 3, y(lo), px + 3, y(lo), color, 1.0))
+            body.append(_line(px - 3, y(hi), px + 3, y(hi), color, 1.0))
+            body.append(f'<circle cx="{_coord(px)}" cy="{_coord(y(mean))}" r="3" fill="{color}"/>')
         if len(points) > 1:
             body.append(_polyline(points, color, dashed))
-        ly = _MARGIN_TOP + 6 + 16 * idx
-        body.append(_line(frame.left + 8, ly, frame.left + 30, ly, color, 2.0, dashed))
-        body.append(_text(frame.left + 36, ly + 4, f"{key[0]} {key[1]}", anchor="start", size=11))
-    return _document("error by input size", body)
+        body += _legend(idx, color, f"{key[0]} {key[1]}", dashed)
+    x_ticks = [(x(pos), str(n)) for pos, n in enumerate(n_values)]
+    return _chart("error by input size", "inputs (n)", x_ticks, "MSE", y, y_ticks, body)

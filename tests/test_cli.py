@@ -118,6 +118,15 @@ def test_seed_falls_back_to_environment(tmp_path, monkeypatch):
     assert (beaten / "trace.csv").read_bytes() == (explicit / "trace.csv").read_bytes()
 
 
+def test_a_failed_cell_exits_1(tmp_path, monkeypatch, capsys):
+    def boom(spec, variant, run):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, "run_cell", boom)
+    assert main(["run", *TINY, "--runs", "1", "--out", str(tmp_path / "x")]) == 1
+    assert "error: run failed" in capsys.readouterr().err
+
+
 def test_seed_rejects_non_integer_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DENDREVO_SEED", "soon")
     rc = main(["run", *TINY, "--runs", "1", "--out", str(tmp_path / "x")])

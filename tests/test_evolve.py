@@ -114,6 +114,9 @@ def test_seed_population_properties(task):
     assert all(
         np.array_equal(a.network.w_in, b.network.w_in) for a, b in zip(pop, again)
     )
+    empty = replace(train, features=train.features[:0], targets=train.targets[:0])
+    with pytest.raises(ValueError, match="training set must be nonempty"):
+        seed_population(cfg, train.n, empty, np.random.default_rng(5))
 
 
 def test_seed_population_members_share_one_blank_genomes_gates(task, monkeypatch):

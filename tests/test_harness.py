@@ -270,15 +270,13 @@ def test_only_the_atomic_writer_and_the_genome_writer_write_files():
     assert writers == {("harness", "write_atomic"), ("net", "save_network")}
 
 
-def test_run_experiment_without_out_dir_matches_persisted(tmp_path):
-    spec = tiny_spec()
-    in_memory = run_experiment(spec)
-    persisted = run_experiment(spec, out_dir=tmp_path / "exp")
-    for variant in spec.variants:
-        for a, b in zip(in_memory[variant], persisted[variant]):
-            assert [r.best_train_mse for r in a.records] == [
-                r.best_train_mse for r in b.records
-            ]
+def test_a_failed_cell_is_named_in_the_error(tmp_path, monkeypatch):
+    def boom(spec, variant, run):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, "run_cell", boom)
+    with pytest.raises(RuntimeError, match=r"variant=standard, run=0\): boom"):
+        run_experiment(tiny_spec(), out_dir=tmp_path / "exp", workers=1)
 
 
 def test_run_experiment_rejects_stale_cache(tmp_path):
@@ -395,7 +393,7 @@ def test_run_experiment_workers_match_sequential(tmp_path):
     assert counts == tuple(f"{i}/{total})" for i in range(1, total + 1))
     assert sorted(cell_logs) == sorted(line.rsplit(" (", 1)[0] for line in logs[1])
     with pytest.raises(ValueError):
-        run_experiment(spec, workers=0)
+        run_experiment(spec, out_dir=tmp_path / "w0", workers=0)
 
 
 # --- reports ------------------------------------------------------------------
@@ -444,7 +442,7 @@ def test_ablation_study_mechanics(tmp_path):
     spec = tiny_spec(
         config=EvoConfig(p=6, h=2, generations=12), runs=3
     )
-    result = run_experiment(spec)
+    result = run_experiment(spec, out_dir=tmp_path / "exp")
     report = ablation_study(spec, result=result)
     assert report.gated_test_mse.shape == (3,)
     assert report.ablated_test_mse.shape == (3,)
@@ -485,8 +483,8 @@ def test_sweep_n_layout_and_validation(tmp_path):
             assert row.min <= row.mean <= row.max
     assert (tmp_path / "sweep" / "n-6" / "runs").is_dir()
     with pytest.raises(ValueError):
-        sweep_n(spec, [])
+        sweep_n(spec, [], out_dir=tmp_path / "sweep")
     with pytest.raises(ValueError):
-        sweep_n(spec, [6, 6])
+        sweep_n(spec, [6, 6], out_dir=tmp_path / "sweep")
     with pytest.raises(ValueError):
-        sweep_n(spec, [2])  # n must exceed k
+        sweep_n(spec, [2], out_dir=tmp_path / "sweep")  # n must exceed k

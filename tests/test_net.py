@@ -232,6 +232,9 @@ def test_mse_matches_direct_computation():
     out = predict(net, features)
     expected = float(np.mean((out - targets) ** 2))
     assert mse(net, data) == pytest.approx(expected, rel=1e-15)
+    empty = Dataset(features=features[:0], targets=targets[:0], encoding=Encoding.SIGN_SPLIT)
+    with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+        mse(net, empty)
 
 
 def test_gate_counts_and_fraction():

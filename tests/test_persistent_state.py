@@ -343,7 +343,8 @@ def test_the_step_loop_never_deep_copies_a_genome(task, monkeypatch):
         cfg = EvoConfig(variant=variant, generations=2, p=8)
         trace = run_evolution(cfg, land, train, test, np.random.default_rng(64))
         assert len(trace.records) == 3
-        assert len(copied) == cfg.generations * cfg.p  # one child per step
+        # One child per seeded member (of the shared blank genome) and per step.
+        assert len(copied) == cfg.p + cfg.generations * cfg.p
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -147,3 +148,43 @@ def test_sweep_chart_is_deterministic():
 def test_sweep_chart_rejects_empty_input():
     with pytest.raises(ValueError, match="no data rows"):
         sweep_chart([])
+
+
+# Edge inputs that reach the range widening (an empty range becomes one
+# unit, ticks included) and a series with no point at some n. Their bytes
+# are pinned like the fingerprint grid's: a rewrite of the drawing code
+# must reproduce them.
+EDGE_CHARTS = {
+    "generation 0 only": (
+        trace_chart,
+        [("standard", 0, record(0, 0.05, 0.0)), ("dendrite", 0, record(0, 0.04, 0.1))],
+        "5f03129e9d9af9afdaab84bb2deac1bb75eb441d7c8ae2ad0fabb6196c9b8dbb",
+    ),
+    "all-zero MSE trace": (
+        trace_chart,
+        [("standard", 0, record(g, 0.0, 0.0)) for g in range(3)],
+        "2c94baf5ab7ed9092c33c19413ab1673ffe6390c028997259bdee1026388de0c",
+    ),
+    "all-zero sweep": (
+        sweep_chart,
+        [(8, "standard", "test", 0.0, 0.0, 0.0), (16, "standard", "test", 0.0, 0.0, 0.0)],
+        "bf4d41a47f454009bde5cb411824bfe9a916403d2edb17f1ad16df80e9cf543d",
+    ),
+    "series lacks an n": (
+        sweep_chart,
+        [
+            (8, "standard", "test", 0.04, 0.03, 0.05),
+            (16, "standard", "test", 0.02, 0.01, 0.03),
+            (16, "dendrite", "test", 0.03, 0.02, 0.04),
+        ],
+        "d7676e83f2728c5b94cc097f32fcafaae2b59270610f21990513d815eed1ee97",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CHARTS))
+def test_edge_charts_keep_their_bytes(case):
+    chart, rows, digest = EDGE_CHARTS[case]
+    svg = chart(rows)
+    ET.fromstring(svg)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
