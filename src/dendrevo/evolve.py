@@ -17,15 +17,19 @@ parent's plus one column update. Only drop-gate coin flips are redrawn
 per evaluation. The direct forward pass in :mod:`dendrevo.net` remains
 the reference; the cached path must agree with it to float tolerance.
 
-Genomes and states are persistent: once a genome is in the population,
-its arrays are never written in place. A child shares with its parent
-every genome array and state column that its mutation does not write.
+Genomes and states are persistent: a seeded genome, and each array a
+mutation copies and writes, is made read-only. A child shares with its
+parent every genome array and state column that its mutation does not
+write. So a large generation's test row can be priced on a helper
+thread, bit for bit, while the next generation steps.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -80,6 +84,15 @@ class EvoConfig:
 
 Population = list  # exactly p Individuals, fitnesses cached on the training set
 
+_GENOME_ARRAYS = tuple(name for name in Network.__slots__ if name != "b_out")
+
+
+def _freeze(net: Network, names: tuple[str, ...] = _GENOME_ARRAYS) -> Network:
+    """Make the genome's ``names`` arrays read-only."""
+    for name in names:
+        getattr(net, name).setflags(False)  # a third of the keyword call's cost
+    return net
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -122,7 +135,7 @@ def seed_population(
         net.b_hidden = rng.uniform(-1.0, 1.0, size=config.h)
         net.w_out = rng.uniform(-1.0, 1.0, size=config.h)
         net.b_out = float(rng.uniform(-1.0, 1.0))
-        pop.append(Individual(net, float("inf"), 0))
+        pop.append(Individual(_freeze(net), float("inf"), 0))
     return pop
 
 
@@ -230,7 +243,7 @@ def describe_mutation(
     [-1, 1] parameters, an active one takes one of its moves. Values are
     never clamped; a threshold drifting outside [-1, 1] simply behaves as
     an always-open (or always-shut) condition for inputs in range.
-    The child shares the parent's arrays and copies only those it writes.
+    The child shares the parent's arrays but those it copies, writes and freezes.
     """
     n, h = parent.n, parent.h
     gate_prob = 0.0 if config.variant is Variant.STANDARD else GATE_MUTATION_PROB
@@ -244,19 +257,21 @@ def describe_mutation(
         else:
             new = _mutate_active_gate(old, config.r, rng)
         if output_layer:
-            child = parent.child("gate_kind_out", "gate_a_out", "gate_b_out")
+            written = ("gate_kind_out", "gate_a_out", "gate_b_out")
+            child = parent.child(*written)
             child.set_output_gate(j, new)
         else:
-            child = parent.child("gate_kind_in", "gate_a_in", "gate_b_in")
+            written = ("gate_kind_in", "gate_a_in", "gate_b_in")
+            child = parent.child(*written)
             child.set_input_gate(j, i, new)
-        return child, GateChange(output_layer, j, i, old, new)
+        return _freeze(child, written), GateChange(output_layer, j, i, old, new)
     param_idx = int(rng.integers(0, parent.param_count))
     delta = float(rng.uniform(-config.r, config.r))
     if param_idx < n * h:
         j, i = divmod(param_idx, n)
         child = parent.child("w_in")
         child.w_in[j, i] += delta
-        return child, WeightChange(_FIELD_W_IN, j, i, delta)
+        return _freeze(child, ("w_in",)), WeightChange(_FIELD_W_IN, j, i, delta)
     # Past the input weights come h biases, h output weights, the output bias.
     kind, j = divmod(param_idx - n * h + h, h)
     if kind == _FIELD_B_OUT:
@@ -266,6 +281,7 @@ def describe_mutation(
         name = "b_hidden" if kind == _FIELD_B_HIDDEN else "w_out"
         child = parent.child(name)
         getattr(child, name)[j] += delta
+        _freeze(child, (name,))
     return child, WeightChange(kind, j, 0, delta)
 
 
@@ -443,24 +459,28 @@ class TrainEvaluator:
 # --- the steady-state loop -----------------------------------------------------
 
 
-def _record(
-    pop: Population,
-    generation: int,
-    test: Dataset,
-    rng: np.random.Generator,
-) -> TraceRecord:
+#: Test-row multiply-adds (rows x n x h) from which a row goes to the helper thread: a 1000-row
+#: h=10 cell on 2 cores broke even at n=150; a smaller row mostly contends for the GIL.
+OVERLAP_MIN_MACS = 2_000_000
+
+
+def _record(pop: Population, generation: int, test: Dataset, rng, pool: ThreadPoolExecutor):
+    """The generation's trace row, as a call that returns it. All but the best
+    member's test error is read now (``_price`` rewrites fitness in place); that
+    is priced on ``pool``'s thread with no rng, unless the product is below
+    OVERLAP_MIN_MACS or a drop gate needs ``rng``'s coins in order."""
     best = min(pop, key=lambda m: m.fitness)
-    denom = best.network.param_count
-    mean_fraction = float(
-        np.mean([member.active_gate_count / denom for member in pop])
-    )
-    return TraceRecord(
-        generation=generation,
-        best_train_mse=best.fitness,
-        best_test_mse=mse(best.network, test, rng),
+    net, denom = best.network, best.network.param_count
+    row = partial(
+        TraceRecord, generation, best.fitness,
         best_gate_fraction=best.active_gate_count / denom,
-        mean_gate_fraction=mean_fraction,
+        mean_gate_fraction=float(np.mean([member.active_gate_count / denom for member in pop])),
     )
+    inline = len(test) * net.n * net.h < OVERLAP_MIN_MACS
+    if inline or DROP in net.gate_kind_in or DROP in net.gate_kind_out:
+        return partial(row, mse(net, test, rng))
+    future = pool.submit(mse, net, test)
+    return lambda: row(future.result())
 
 
 def _price(pop: Population, train: Dataset, rng: np.random.Generator):
@@ -487,9 +507,10 @@ def run_evolution(
     is P steps.
     Training fitness is maintained by the incremental evaluator; test
     error is measured by the direct forward pass on the generation's
-    best member. The landscape is only consulted when per-generation
-    training-set resampling is enabled, and that run draws its table once
-    and holds it; pass None otherwise if it has been dropped.
+    best member, at full scale on a helper thread that this call joins
+    before it returns or raises. The landscape is only consulted when
+    per-generation training-set resampling is enabled, and that run draws
+    its table once and holds it; pass None otherwise if it has been dropped.
     """
     if train.n != test.n:
         raise ValueError(f"train n={train.n} and test n={test.n} disagree")
@@ -502,25 +523,29 @@ def run_evolution(
 
     pop = seed_population(config, train.n, train, rng)
     evaluator, states = _price(pop, train, rng)
-    records = [_record(pop, 0, test, rng)]
-    for generation in range(1, config.generations + 1):
-        if config.resample_train_each_generation:
-            train = generate_dataset(landscape, len(train), train.encoding, rng)
-            evaluator, states = _price(pop, train, rng)
-        for _ in range(config.p):
-            parent_idx = tournament_select(pop, rng)
-            child_net, change = describe_mutation(
-                pop[parent_idx].network, config, rng
-            )
-            child_state = evaluator.child_state(states[parent_idx], child_net, change)
-            child = Individual(
-                child_net,
-                evaluator.score(child_net, child_state, rng),
-                count_active_gates(child_net)[0],
-            )
-            slot, moved_in = _replace_slot(pop, child, rng)
-            if moved_in:
-                states[slot] = child_state
-        records.append(_record(pop, generation, test, rng))
+    records = []
+    with ThreadPoolExecutor(max_workers=1) as pool:  # starts a thread on first submit
+        row = _record(pop, 0, test, rng, pool)
+        for generation in range(1, config.generations + 1):
+            if config.resample_train_each_generation:
+                train = generate_dataset(landscape, len(train), train.encoding, rng)
+                evaluator, states = _price(pop, train, rng)
+            for _ in range(config.p):
+                parent_idx = tournament_select(pop, rng)
+                child_net, change = describe_mutation(
+                    pop[parent_idx].network, config, rng
+                )
+                child_state = evaluator.child_state(states[parent_idx], child_net, change)
+                child = Individual(
+                    child_net,
+                    evaluator.score(child_net, child_state, rng),
+                    count_active_gates(child_net)[0],
+                )
+                slot, moved_in = _replace_slot(pop, child, rng)
+                if moved_in:
+                    states[slot] = child_state
+            records.append(row())
+            row = _record(pop, generation, test, rng, pool)
+        records.append(row())
     best = min(pop, key=lambda m: m.fitness)
     return RunTrace(records=records, final_network=best.network)

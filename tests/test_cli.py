@@ -8,6 +8,8 @@ covered elsewhere.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from enum import Enum
@@ -26,7 +28,8 @@ from dendrevo.cli import (
     build_parser,
     main,
 )
-from dendrevo import harness
+import dendrevo
+from dendrevo import evolve, harness
 from dendrevo.evolve import EvoConfig, Variant
 from dendrevo.harness import ExperimentSpec, TRACE_HEADER, format_float, read_trace_rows
 from dendrevo.net import (
@@ -597,3 +600,42 @@ def test_inspect_missing_genome_is_a_runtime_error(tmp_path, capsys):
 def test_missing_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_helper_thread_rows_match_inline_rows_under_one_and_two_blas_threads(tmp_path):
+    """The CLI takes BLAS's default thread count. At n=1000 with a 1000-row
+    test set each trace row is priced on the helper thread while the main
+    thread steps, so both threads may call BLAS at once. Under one and under
+    two BLAS threads the cell must write the bytes it writes with every row
+    priced inline. (One and two threads do not agree with each other at this
+    size, at this commit's parent too: OpenBLAS splits the n=1000 products.)"""
+    argv = [
+        "run", "--variant", "dendrite", "--n", "1000", "--k", "2", "--pop", "4",
+        "--generations", "4", "--runs", "1", "--train-size", "200", "--test-size", "1000",
+        "--seed", "5", "--workers", "1",
+    ]
+    assert 1000 * 1000 * EvoConfig().h >= evolve.OVERLAP_MIN_MACS
+    script = (
+        "import sys; from dendrevo import cli, evolve; "
+        "evolve.OVERLAP_MIN_MACS = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))"
+    )
+    # As in criterion 4: the children run elsewhere, so lead their PYTHONPATH
+    # with the absolute directory holding the package this process imported.
+    root = str(Path(dendrevo.__file__).resolve().parent.parent)
+    for threads in ("1", "2"):
+        env = os.environ.copy()
+        rest = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs = []
+        for limit in (evolve.OVERLAP_MIN_MACS, 10**18):
+            out = tmp_path / f"blas{threads}-{limit}"
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(limit), *argv, "--out", str(out)],
+                cwd=tmp_path, env=env, capture_output=True,
+            )
+            assert result.returncode == 0, result.stderr.decode(errors="replace")
+            genomes = sorted((out / "runs").glob("*.dnet"))
+            assert len(genomes) == 1
+            outputs.append([(out / "trace.csv").read_bytes(), genomes[0].read_bytes()])
+        assert outputs[0] == outputs[1], f"OPENBLAS_NUM_THREADS={threads}"

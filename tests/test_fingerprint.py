@@ -12,7 +12,9 @@ of behaviour is intended, say so and why, and record the new digest here.
 """
 
 import hashlib
+import threading
 
+from dendrevo import evolve
 from dendrevo.cli import main
 
 GRID = [
@@ -84,3 +86,32 @@ def test_sweep_table_and_chart_match_the_golden_digests(tmp_path, monkeypatch):
     assert main([*SWEEP, "--out", str(tmp_path)]) == 0
     for name, digest in SWEEP_ARTIFACT_SHA256.items():
         assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+def test_golden_digests_hold_with_every_test_row_on_the_helper_thread(tmp_path, monkeypatch):
+    """No pinned cell reaches OVERLAP_MIN_MACS, so patch it to 0: every row
+    whose best genome has no drop gate is then priced on the helper thread."""
+    monkeypatch.delenv("DENDREVO_SEED", raising=False)
+    monkeypatch.setattr(evolve, "OVERLAP_MIN_MACS", 0)
+    callers = set()
+    direct = evolve.mse
+
+    def mse(net, data, rng=None):
+        callers.add(threading.get_ident())
+        return direct(net, data, rng)
+
+    monkeypatch.setattr(evolve, "mse", mse)
+    cells = (
+        ("grid", GRID, TRACE_SHA256),
+        ("resample", RESAMPLE_CELL, RESAMPLE_TRACE_SHA256),
+        ("center-band", CENTER_BAND_CELL, CENTER_BAND_TRACE_SHA256),
+    )
+    for name, command, digest in cells:
+        out = tmp_path / name
+        assert main([*command, "--out", str(out)]) == 0
+        assert sha256((out / "trace.csv").read_bytes()) == digest, name
+    for name, digest in GRID_ARTIFACT_SHA256.items():
+        assert sha256((tmp_path / "grid" / name).read_bytes()) == digest, name
+    genomes = sorted((tmp_path / "grid" / "runs").glob("*.dnet"))
+    assert sha256(b"".join(p.read_bytes() for p in genomes)) == GRID_GENOMES_SHA256
+    assert callers - {threading.get_ident()}, "no row reached the helper thread"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dendrevo import evolve
 from dendrevo.evolve import (
     EvalState,
     EvoConfig,
@@ -356,3 +357,40 @@ def test_incremental_fitness_does_not_drift_from_the_direct_pass(task, variant):
     trace = run_evolution(cfg, land, train, test, np.random.default_rng(65))
     drift = abs(trace.records[-1].best_train_mse - mse(trace.final_network, train))
     assert drift <= 1e-12
+
+
+def assert_read_only(net: Network) -> None:
+    for name in Network.__slots__:
+        if name != "b_out":  # a float: the genome's slot is rebound, never written
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(net, name)[(0,) * getattr(net, name).ndim] = 1.0
+
+
+def test_population_genomes_refuse_in_place_writes(task, monkeypatch):
+    land, train, test = task
+    cfg = EvoConfig(variant=Variant.DENDRITE_THRESHOLD, generations=3, p=8)
+    seeded = seed_population(cfg, train.n, train, np.random.default_rng(66))
+    for member in seeded:
+        assert_read_only(member.network)
+    with pytest.raises(ValueError, match="read-only"):
+        seeded[0].network.set_input_gate(0, 0, GateState(GateKind.LOWER, 0.0))
+    # Network.child's copies stay writable; describe_mutation freezes what it wrote.
+    child = seeded[0].network.child("w_in", "gate_kind_out", "gate_a_out", "gate_b_out")
+    child.w_in[0, 0] += 1.0
+    child.set_output_gate(0, GateState(GateKind.UPPER, 0.5))
+
+    real_replace = evolve._replace_slot
+    joined = []
+
+    def spy(pop, offspring, rng):
+        slot, moved_in = real_replace(pop, offspring, rng)
+        if moved_in:
+            joined.append(offspring.network)
+        return slot, moved_in
+
+    monkeypatch.setattr(evolve, "_replace_slot", spy)
+    trace = run_evolution(cfg, land, train, test, np.random.default_rng(67))
+    assert joined
+    for net in joined:
+        assert_read_only(net)
+    assert_read_only(trace.final_network)
