@@ -153,8 +153,8 @@ def _config(args: argparse.Namespace) -> dict[str, str]:
     if not path:
         return {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     keys = {row[0] for row in SETTINGS + (_AXES[args.command],)}
     values: dict[str, str] = {}
@@ -210,13 +210,9 @@ def _settings(
         raise UsageError(str(exc)) from None
 
 
-def _write_text(path: Path, text: str) -> None:
-    write_atomic(path, text)
-    print(f"wrote {path}")
-
-
-def _write_rows(path: Path, header: str, rows: list[str]) -> None:
-    write_csv(path, header, rows)
+def _write(path: Path, write, *args) -> None:
+    """``write(path, *args)``, then say so."""
+    write(path, *args)
     print(f"wrote {path}")
 
 
@@ -243,13 +239,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     result = run_experiment(spec, out_dir=out, workers=opts.workers, log=_log)
     report = compare(result)
     trace_path = out / "trace.csv"
-    write_trace_csv(
-        trace_path,
-        [(v, run, result[v][run]) for v in spec.variants for run in range(spec.runs)],
-    )
-    print(f"wrote {trace_path}")
+    cells = [(v, run, result[v][run]) for v in spec.variants for run in range(spec.runs)]
+    _write(trace_path, write_trace_csv, cells)
     summaries = [csv_row(s.variant, spec.n, spec.k, *astuple(s)[1:]) for s in report.summaries]
-    _write_rows(out / "summary.csv", SUMMARY_HEADER, summaries)
+    _write(out / "summary.csv", write_csv, SUMMARY_HEADER, summaries)
     for s in report.summaries:
         print(
             f"{s.variant.value}: runs={s.runs} mean_test_mse={s.mean_test_mse:.6g} "
@@ -258,7 +251,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         )
     if pairwise:
         pairs = [csv_row(*astuple(pair)) for pair in report.pairwise]
-        _write_rows(out / "compare.csv", COMPARE_HEADER, pairs)
+        _write(out / "compare.csv", write_csv, COMPARE_HEADER, pairs)
         for pair in report.pairwise:
             print(
                 f"{pair.variant_a.value} vs {pair.variant_b.value}: "
@@ -266,7 +259,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 f"t={pair.t_statistic:.4g}, p={pair.p_value:.4g}"
             )
     if opts.plot:
-        _write_text(out / "trace.svg", svgplot.trace_chart(read_trace_rows(trace_path)))
+        _write(out / "trace.svg", write_atomic, svgplot.trace_chart(read_trace_rows(trace_path)))
     return 0
 
 
@@ -279,7 +272,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, opts = _settings(args, cfg, n=min(n_values), variants=_DEFAULTS["variants"])
     out = Path(opts.out)  # run_experiment creates it
     rows = sweep_n(spec, n_values, out_dir=out, workers=opts.workers, log=_log)
-    _write_rows(out / "sweep.csv", SWEEP_HEADER, [csv_row(*astuple(row)) for row in rows])
+    _write(out / "sweep.csv", write_csv, SWEEP_HEADER, [csv_row(*astuple(row)) for row in rows])
     for row in rows:
         if row.split == "test":
             print(
@@ -288,7 +281,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
     if opts.plot:  # drawn from the file, as trace.svg and plot are
         table = read_csv_rows(out / "sweep.csv", SWEEP_HEADER, _SWEEP_CASTS)
-        _write_text(out / "sweep.svg", svgplot.sweep_chart(table))
+        _write(out / "sweep.svg", write_atomic, svgplot.sweep_chart(table))
     return 0
 
 
@@ -296,7 +289,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     src = Path(args.input)
     if not src.exists():
         raise FileNotFoundError(f"no such file: {src}")
-    header = src.read_text().splitlines()[:1]
+    header = src.read_text(encoding="utf-8").splitlines()[:1]
     if header == [TRACE_HEADER]:
         rows, chart = read_trace_rows(src), svgplot.trace_chart
     elif header == [SWEEP_HEADER]:
@@ -307,7 +300,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         raise ValueError(f"{src}: no data rows")
     dest = Path(args.out)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(dest, chart(rows))
+    _write(dest, write_atomic, chart(rows))
     return 0
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .evolve import EvoConfig, RunTrace, TraceRecord, Variant, run_evolution
-from .net import ablate_output_gates, load_network, mse, save_network
+from .net import Network, ablate_output_gates, format_network, load_network, mse
 from .nk import Encoding, build_landscape, generate_dataset, generate_datasets
 
 TRACE_HEADER = ",".join(["variant", "run", *(f.name for f in fields(TraceRecord))])
@@ -134,25 +134,25 @@ def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
 # --- per-cell persistence ---------------------------------------------------
 
 
-def _atomic_write(path: Path, write: Callable[[Path], None], exclusive: bool = False) -> None:
-    """Let ``write`` fill a temp file beside ``path``, then rename it over
-    ``path``, so readers see the old file or the whole new one. The pid
-    and a random token keep concurrent writers' temp names apart.
-    ``exclusive`` links the temp file to ``path`` instead, which raises
-    FileExistsError if ``path`` exists."""
+def write_atomic(path: str | Path, text: str, exclusive: bool = False) -> None:
+    """Write ``text`` as UTF-8 to a temp file beside ``path``, then rename
+    it over ``path``, so readers see the old file or the whole new one;
+    every file the package writes goes through here. The pid and a random
+    token keep concurrent writers' temp names apart. ``exclusive`` links
+    the temp file to ``path`` instead, which raises FileExistsError if
+    ``path`` exists."""
+    path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        write(tmp)
+        tmp.write_text(text, encoding="utf-8")
         (os.link if exclusive else os.replace)(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def write_atomic(path: str | Path, text: str, exclusive: bool = False) -> None:
-    """Write ``text`` to ``path`` by way of a temp file and a rename (or a
-    link, if ``exclusive``); every file the package writes besides the
-    genome goes through here."""
-    _atomic_write(Path(path), lambda tmp: tmp.write_text(text), exclusive)
+def save_network(net: Network, path: str | Path) -> None:
+    """Write ``net``'s genome export to ``path``."""
+    write_atomic(path, format_network(net))
 
 
 def write_csv(path: str | Path, header: str, rows) -> None:
@@ -176,7 +176,7 @@ def read_csv_rows(path: str | Path, header: str, casts) -> list[tuple]:
     i passed through ``casts[i]``. A float must be finite, as every float
     the package writes is."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: unexpected header; expected {header!r}")
     rows = []
@@ -250,7 +250,7 @@ def _check_manifest(out_dir: Path, spec: ExperimentSpec) -> None:
         except FileExistsError:
             pass  # the other run's manifest: compare specs below
     try:
-        have = json.loads(path.read_text())
+        have = json.loads(path.read_text(encoding="utf-8"))
         recorded = {"format": have["format"], **have["spec"]}
     except (ValueError, KeyError, TypeError):
         raise SpecMismatch(f"{path} is unreadable; use a fresh --out") from None
@@ -299,7 +299,7 @@ def _run_and_store(spec: ExperimentSpec, variant: Variant, run: int, runs_dir: P
         trace = run_cell(spec, variant, run)
         csv_path, dnet_path = _cell_paths(runs_dir, variant, run)
         # Genome first: the trace file is the completion marker.
-        _atomic_write(dnet_path, lambda tmp: save_network(trace.final_network, tmp))
+        save_network(trace.final_network, dnet_path)
         write_trace_csv(csv_path, [(variant, run, trace)])
         return trace
     except Exception as exc:

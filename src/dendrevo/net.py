@@ -352,14 +352,15 @@ def _gated_lines(prefix: str, weights, kinds, a, b) -> list[str]:
     return lines
 
 
-def save_network(net: Network, path: str | Path) -> None:
-    """Write the textual genome export.
+def format_network(net: Network) -> str:
+    """The textual genome export.
 
     Header ``DNET 1 <n> <h>``; one line per parameter:
     ``<layer> <to> <from> <weight> <gate-tag> [<gate-params>]``.
     Layer 0 is input-to-hidden (to = hidden node), layer 1 is
     hidden-to-output (to = 0); bias lines use from = -1 and are
-    always ungated.
+    always ungated. Each hidden node's inputs come in order, then its
+    bias; then the output node's inputs, then its bias.
     """
     lines = [f"DNET 1 {net.n} {net.h}"]
     layer_in = (net.w_in, net.gate_kind_in, net.gate_a_in, net.gate_b_in)
@@ -369,7 +370,7 @@ def save_network(net: Network, path: str | Path) -> None:
     layer_out = (net.w_out, net.gate_kind_out, net.gate_a_out, net.gate_b_out)
     lines += _gated_lines("1 0 ", *(m.tolist() for m in layer_out))
     lines.append(f"1 0 -1 {net.b_out:.17g} I")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_gate(tokens: list[str]) -> GateState:
@@ -380,57 +381,46 @@ def _parse_gate(tokens: list[str]) -> GateState:
 
 
 def load_network(path: str | Path) -> Network:
-    """Parse a genome export written by :func:`save_network`; an error
-    names its line. Weights and biases must be finite."""
+    """Parse a genome export in the line order :func:`format_network`
+    writes; an error names its line. Weights and biases must be finite."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty genome file")
     line_no, header = lines[0]
-    seen = set()
     try:
         if len(header) != 4 or header[:2] != ["DNET", "1"]:
             raise ValueError(f"bad genome header {' '.join(header)!r}")
         n, h = int(header[2]), int(header[3])
         defined, expected = len(lines) - 1, n * h + 2 * h + 1
-        if defined < expected:  # checked before a huge header allocates
+        if defined != expected:  # checked before a huge header allocates
             raise ValueError(f"genome file defines {defined} parameters, expected {expected}")
         net = Network(n, h)
-        for line_no, tokens in lines[1:]:
+        keys = [(0, j, i) for j in range(h) for i in [*range(n), -1]]
+        keys += [(1, 0, i) for i in [*range(h), -1]]
+        weights = []
+        for (line_no, tokens), key in zip(lines[1:], keys):
             if len(tokens) < 5:
                 raise ValueError("too few fields")
-            layer, to, frm = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            if (int(tokens[0]), int(tokens[1]), int(tokens[2])) != key:
+                raise ValueError(f"expected parameter {key}, got {' '.join(tokens[:3])!r}")
             weight = float(tokens[3])
             if not math.isfinite(weight):
                 raise ValueError(f"weight {tokens[3]} is not finite")
+            weights.append(weight)
             # Most lines carry a bare inactive tag, which Network(n, h) already holds.
-            gate = None if tokens[4:] == ["I"] else _parse_gate(tokens[4:])
-            key = (layer, to, frm)
-            if key in seen:
-                raise ValueError(f"duplicate parameter {key}")
-            seen.add(key)
-            if frm == -1 and gate is not None:
-                raise ValueError("biases cannot carry gates")
-            if layer == 0:
-                if not 0 <= to < h or not -1 <= frm < n:
-                    raise ValueError("index out of range")
+            if tokens[4:] != ["I"]:
+                gate = _parse_gate(tokens[4:])
+                layer, to, frm = key
                 if frm == -1:
-                    net.b_hidden[to] = weight
+                    raise ValueError("biases cannot carry gates")
+                if layer == 0:
+                    net.set_input_gate(to, frm, gate)
                 else:
-                    net.w_in[to, frm] = weight
-                    if gate is not None:
-                        net.set_input_gate(to, frm, gate)
-            elif layer == 1:
-                if to != 0 or not -1 <= frm < h:
-                    raise ValueError("index out of range")
-                if frm == -1:
-                    net.b_out = weight
-                else:
-                    net.w_out[frm] = weight
-                    if gate is not None:
-                        net.set_output_gate(frm, gate)
-            else:
-                raise ValueError(f"unknown layer {layer}")
+                    net.set_output_gate(frm, gate)
     except ValueError as exc:
         raise ValueError(f"line {line_no}: {exc}") from None
+    rows = np.array(weights[:-h - 1]).reshape(h, n + 1)  # each node's inputs, then its bias
+    net.w_in[:], net.b_hidden[:] = rows[:, :n], rows[:, n]
+    net.w_out[:], net.b_out = weights[-h - 1:-1], weights[-1]
     return net

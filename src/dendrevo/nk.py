@@ -195,7 +195,8 @@ def generate_datasets(
 ) -> list[Dataset]:
     """One dataset per (size, rng): ``size`` uniform genomes, then their
     encoded features, drawn from that rng in turn. The targets of all the
-    datasets come from one pass over the landscape's table."""
+    datasets come from one pass over the landscape's table. Their arrays
+    are read-only: a helper thread may read the test set while a run steps."""
     sizes = [size for size, _ in draws]
     if not sizes or any(size < 1 for size in sizes):
         raise ValueError(f"dataset sizes must be >= 1, got {sizes}")
@@ -206,6 +207,8 @@ def generate_datasets(
         genes[:, end - size:end] = bits.T
     del bits
     targets = np.split(evaluate_genomes(landscape, genes.T), np.cumsum(sizes)[:-1])
+    for array in (*features, *targets):
+        array.setflags(write=False)
     return [Dataset(f, t, encoding) for f, t in zip(features, targets)]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from enum import Enum
@@ -31,10 +32,10 @@ from dendrevo.cli import (
 import dendrevo
 from dendrevo import evolve, harness
 from dendrevo.evolve import EvoConfig, Variant
-from dendrevo.harness import ExperimentSpec, TRACE_HEADER, format_float, read_trace_rows
-from dendrevo.net import (
-    GateKind, GateState, Network, count_active_gates, gate_fraction, save_network,
+from dendrevo.harness import (
+    ExperimentSpec, TRACE_HEADER, format_float, read_trace_rows, save_network,
 )
+from dendrevo.net import GateKind, GateState, Network, count_active_gates, gate_fraction
 
 # Shared tiny-problem flags: n=8, k=2, 6 genomes, 2 hidden nodes,
 # 2 generations, 10-sample data sets.
@@ -54,6 +55,18 @@ def tiny_run(tmp_path, name, *extra):
     rc = main(["run", *TINY, "--runs", "1", "--seed", "3", "--out", str(out), *extra])
     assert rc == 0
     return out
+
+
+def child_env(**extra) -> dict[str, str]:
+    """The environment for a CLI child process. As in criterion 4, the
+    children run elsewhere, so their PYTHONPATH leads with the absolute
+    directory holding the package this process imported."""
+    env = os.environ.copy()
+    root = str(Path(dendrevo.__file__).resolve().parent.parent)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
+    env.update(extra)
+    return env
 
 
 def test_run_writes_trace_summary_and_cell_files(tmp_path, capsys):
@@ -227,6 +240,33 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_undecodable_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"n = 8 # \xff\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    """A config file is UTF-8 whatever the locale says: under LC_ALL=C,
+    with locale coercion and UTF-8 mode off, a non-ASCII comment reads
+    and the run writes the bytes it writes under the default locale."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(tmp_path / "unused") + "# mutation range \u00b5\n", encoding="utf-8")
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    traces = []
+    for name, extra in (("default", {}), ("ascii", ascii_locale)):
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "dendrevo", "run", "--config", str(cfg), "--out", str(out)],
+            cwd=tmp_path, env=child_env(**extra), capture_output=True,
+        )
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_unknown_variant_is_a_usage_error(tmp_path, capsys):
@@ -619,14 +659,8 @@ def test_helper_thread_rows_match_inline_rows_under_one_and_two_blas_threads(tmp
         "import sys; from dendrevo import cli, evolve; "
         "evolve.OVERLAP_MIN_MACS = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))"
     )
-    # As in criterion 4: the children run elsewhere, so lead their PYTHONPATH
-    # with the absolute directory holding the package this process imported.
-    root = str(Path(dendrevo.__file__).resolve().parent.parent)
     for threads in ("1", "2"):
-        env = os.environ.copy()
-        rest = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
-        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outputs = []
         for limit in (evolve.OVERLAP_MIN_MACS, 10**18):
             out = tmp_path / f"blas{threads}-{limit}"
@@ -639,3 +673,54 @@ def test_helper_thread_rows_match_inline_rows_under_one_and_two_blas_threads(tmp
             assert len(genomes) == 1
             outputs.append([(out / "trace.csv").read_bytes(), genomes[0].read_bytes()])
         assert outputs[0] == outputs[1], f"OPENBLAS_NUM_THREADS={threads}"
+
+
+def test_a_killed_compare_resumes_to_the_bytes_of_an_uninterrupted_run(tmp_path):
+    """SIGKILL a compare once its k-th cell trace exists, for an early and a
+    middle k of six cells, then rerun it. Wherever the kill lands, it leaves
+    only whole files, and the rerun loads exactly the cells whose trace
+    files exist, never a temp file, and ends with every file byte-equal to
+    an uninterrupted run's. Stray temp files are the only leftovers."""
+    argv = [
+        sys.executable, "-m", "dendrevo", "compare", "--variants", "standard,dendrite,range",
+        "--runs", "2", "--n", "50", "--k", "3", "--pop", "20", "--hidden", "4",
+        "--generations", "250", "--train-size", "200", "--test-size", "200", "--seed", "11",
+    ]
+    env = child_env()
+
+    def finish(out):
+        result = subprocess.run([*argv, "--out", str(out)], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return result.stderr
+
+    def files(out):
+        return {
+            p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*") if p.is_file() and p.suffix != ".tmp"
+        }
+
+    finish(tmp_path / "fresh")
+    want = files(tmp_path / "fresh")
+    assert len(list((tmp_path / "fresh" / "runs").glob("*.trace.csv"))) == 6
+    for k in (1, 3):
+        out = tmp_path / f"killed-{k}"
+        runs = out / "runs"
+        child = subprocess.Popen([*argv, "--out", str(out)], cwd=tmp_path, env=env,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            while child.poll() is None and len(list(runs.glob("*.trace.csv"))) < k:
+                time.sleep(0.002)
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+        left = files(out)
+        assert all(left[name] == want[name] for name in left), "a killed run left a torn file"
+        finished = len(list(runs.glob("*.trace.csv")))
+        # A garbage temp file beside every cell's two files; none may be read.
+        for name in want:
+            if name.parent == Path("runs"):
+                (out / name).with_name(f"{name.name}.1.00000000.tmp").write_text("garbage\n")
+        log = finish(out)
+        assert log.count("loaded variant=") == finished >= k
+        assert files(out) == want

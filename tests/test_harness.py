@@ -24,12 +24,13 @@ from dendrevo.harness import (
     read_trace_rows,
     run_cell,
     run_experiment,
+    save_network,
     summarize,
     sweep_n,
     welch_t_test,
     write_trace_csv,
 )
-from dendrevo.net import Network, ablate_output_gates, mse, save_network
+from dendrevo.net import Network, ablate_output_gates, mse
 from dendrevo.nk import Encoding, build_landscape, generate_dataset
 
 
@@ -230,23 +231,31 @@ def test_cell_files_arrive_by_rename_and_leave_no_temp_files(tmp_path, monkeypat
     assert list(out.rglob("*.tmp")) == []
 
 
-def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path):
+def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    """A failure at the temp file's write or at its rename leaves the old file."""
     target = tmp_path / "cell.trace.csv"
     target.write_text("old\n")
+    real_write = Path.write_text
 
-    def fail(tmp):
-        tmp.write_text("partial")
+    def fail_write(path, text, *args, **kwargs):
+        real_write(path, text[:3], *args, **kwargs)  # a partial temp file
         raise OSError("disk full")
 
-    with pytest.raises(OSError, match="disk full"):
-        harness._atomic_write(target, fail)
-    assert target.read_text() == "old\n"
-    assert list(tmp_path.iterdir()) == [target]
+    def fail_rename(src, dst):
+        raise OSError("disk full")
+
+    injections = ((Path, "write_text", fail_write), (harness.os, "replace", fail_rename))
+    for owner, name, fail in injections:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fail)
+            with pytest.raises(OSError, match="disk full"):
+                harness.write_atomic(target, "new contents\n")
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
 
 
-def test_only_the_atomic_writer_and_the_genome_writer_write_files():
-    """Every file the package writes goes through write_atomic, except the
-    genome, which save_network writes to the temp path _atomic_write gives it."""
+def test_only_the_atomic_writer_writes_files():
+    """Every file the package writes goes through write_atomic."""
 
     def opens_for_writing(call):
         # open(path, mode) or Path.open(mode); no mode reads, an unknown one may write.
@@ -267,7 +276,7 @@ def test_only_the_atomic_writer_and_the_genome_writer_write_files():
                     name == "open" and opens_for_writing(call)
                 ):
                     writers.add((path.stem, func.name))
-    assert writers == {("harness", "write_atomic"), ("net", "save_network")}
+    assert writers == {("harness", "write_atomic")}
 
 
 def test_a_failed_cell_is_named_in_the_error(tmp_path, monkeypatch):

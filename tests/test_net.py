@@ -1,6 +1,7 @@
 """Gated forward pass against a scalar reference, plus genome IO."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from dendrevo.net import (
     ablate_output_gates,
     blocked_matrix,
     count_active_gates,
+    format_network,
     gate_fraction,
     load_network,
     mse,
     predict,
-    save_network,
 )
+from dendrevo.harness import save_network
 from dendrevo.nk import Dataset, Encoding
 
 # Output of a 1-1-1 net with zero input weight and unit output weight:
@@ -345,6 +347,25 @@ def test_genome_export_is_bytewise_the_gate_state_export(tmp_path):
     assert path.read_bytes() == gate_state_export(net).encode("utf-8")
 
 
+def test_full_scale_genome_with_every_gate_kind_round_trips(tmp_path):
+    rng = np.random.default_rng(23)
+    net = random_gated_network(rng, n=1000, h=10, kinds=(0, 1, 2, 3, 4), density=0.5)
+    outputs = [
+        GateState(),
+        GateState(GateKind.LOWER, -0.25),
+        GateState(GateKind.UPPER, 0.5),
+        GateState(GateKind.RANGE, -0.5, 0.75),
+        GateState(GateKind.DROP),
+    ]
+    for j in range(net.h):  # every kind on the output layer too
+        net.set_output_gate(j, outputs[j % len(outputs)])
+    for layer in (net.gate_kind_in, net.gate_kind_out):
+        assert set(np.unique(layer)) == {0, 1, 2, 3, 4}
+    path = tmp_path / "genome.dnet"
+    save_network(net, path)
+    assert format_network(load_network(path)) == path.read_text()
+
+
 def test_load_network_rejects_malformed_files(tmp_path):
     good = Network(2, 1)
     path = tmp_path / "net.dnet"
@@ -362,11 +383,26 @@ def test_load_network_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="parameters"):
         load_network(truncated)
 
+    # The count is exact: one line too many is refused as well.
+    extra = tmp_path / "extra.dnet"
+    extra.write_text(text + "1 0 -1 0 I\n")
+    with pytest.raises(ValueError, match="defines 6 parameters, expected 5"):
+        load_network(extra)
+
+    # A duplicate in place of another line keeps the count but breaks the order.
     duplicated = tmp_path / "dup.dnet"
     lines = text.splitlines()
-    duplicated.write_text("\n".join(lines + [lines[1]]) + "\n")
-    with pytest.raises(ValueError, match="duplicate"):
+    duplicated.write_text("\n".join(lines[:2] + [lines[1]] + lines[3:]) + "\n")
+    message = "line 3: expected parameter (0, 0, 1), got '0 0 0'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_network(duplicated)
+
+    # Two swapped lines of a complete genome: the first of them is named.
+    swapped = tmp_path / "swapped.dnet"
+    swapped.write_text("\n".join([lines[0], lines[1], lines[3], lines[2], *lines[4:]]) + "\n")
+    message = "line 3: expected parameter (0, 0, 1), got '0 0 -1'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_network(swapped)
 
     gated_bias = tmp_path / "gated_bias.dnet"
     gated_bias.write_text(text.replace("0 0 -1 0 I", "0 0 -1 0 D", 1))
@@ -380,14 +416,14 @@ def test_load_network_rejects_malformed_files(tmp_path):
     # Lines that name no parameter of the header's shape.
     for line, message in (
         ("0 0 0", "line 3: too few fields"),
-        ("0 1 0 0 I", "line 3: index out of range"),
-        ("1 0 1 0 I", "line 3: index out of range"),
-        ("2 0 0 0 I", "line 3: unknown layer 2"),
+        ("0 1 0 0 I", "line 3: expected parameter (0, 0, 1), got '0 1 0'"),
+        ("1 0 1 0 I", "line 3: expected parameter (0, 0, 1), got '1 0 1'"),
+        ("2 0 0 0 I", "line 3: expected parameter (0, 0, 1), got '2 0 0'"),
     ):
         bad_line = tmp_path / "bad_line.dnet"
         lines = text.splitlines()
         bad_line.write_text("\n".join(lines[:2] + [line] + lines[3:]) + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_network(bad_line)
     # An inactive tag takes no parameter.
     tagged = tmp_path / "tagged_inactive.dnet"

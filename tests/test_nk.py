@@ -370,6 +370,19 @@ def test_generate_datasets_equals_successive_generate_dataset_calls(encoding):
     assert fingerprint(joint, [shared]) == fingerprint(apart, [expected_shared])
 
 
+def test_generated_datasets_refuse_in_place_writes():
+    """A run's helper thread reads the test set while the run steps, so
+    the arrays of every generated dataset are read-only."""
+    land = build_landscape(12, 3, 5)
+    train, test = generate_datasets(
+        land, Encoding.SIGN_SPLIT, (20, np.random.default_rng(1)), (10, np.random.default_rng(2))
+    )
+    for data in (train, test):
+        for array in (data.features, data.targets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+
 # n=300: the table is one block at k=3, and 16 genes a block, the last
 # block partial, at k=12.
 @pytest.mark.parametrize("k", [3, 12])
