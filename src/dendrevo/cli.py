@@ -3,8 +3,8 @@
 Subcommands: run (one variant), compare (several variants plus pairwise
 t tests), sweep (input-size scan), plot (CSV to SVG), inspect (gate
 placement of a saved genome). Settings resolve in precedence order:
-command-line flag, then config file, then the DENDREVO_SEED environment
-variable (seed only), then the defaults of the dataclasses they fill.
+command-line flag, then config file, then the defaults of the dataclasses
+they fill. A config key is accepted exactly when its command has that flag.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import MISSING, astuple, dataclass, fields
 from enum import Enum
@@ -41,8 +40,6 @@ from .harness import (
 )
 from .net import count_active_gates, gate_fraction, load_network
 from . import svgplot
-
-ENV_SEED = "DENDREVO_SEED"
 
 # Each report's columns are its dataclass's fields; summary.csv adds the
 # grid's n and k after the variant.
@@ -87,7 +84,7 @@ SETTINGS = (
     ("train_size", "train_size", "training samples per run"),
     ("test_size", "test_size", "test samples per run"),
     ("encoding", "encoding", "gene encoding: signsplit or centerband"),
-    ("seed", "master_seed", f"master seed; {ENV_SEED} if no flag or config sets it"),
+    ("seed", "master_seed", "master seed"),
     ("resample_train", "config.resample_train_each_generation",
      "draw a fresh training set every generation"),
     ("workers", "run.workers", "parallel worker processes"),
@@ -131,24 +128,24 @@ def _parse_enum(cls: type[Enum], text: str) -> Enum:
         raise UsageError(f"unknown {name} {text!r} (choose from: {valid})") from None
 
 
-def _cast(source: str, raw, default):
-    """``raw`` as the type of ``default``; ``source`` names it in errors."""
+def _cast(key: str, raw, default):
+    """``raw`` as the type of ``default``; ``key`` names it in errors."""
     if isinstance(raw, bool):  # a switch flag
         return raw
     if isinstance(default, Enum):
         return _parse_enum(type(default), raw)
     if isinstance(default, bool):
         if raw.lower() not in _BOOL_WORDS:
-            raise UsageError(f"{source}: expected a boolean, got {raw!r}")
+            raise UsageError(f"{key}: expected a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
     try:
         return type(default)(raw)
     except ValueError:
-        raise UsageError(f"{source}: bad value {raw!r}") from None
+        raise UsageError(f"{key}: bad value {raw!r}") from None
 
 
 def _config(args: argparse.Namespace) -> dict[str, str]:
-    """The --config file's entries; each key must name a setting of the command, once."""
+    """The --config file's entries; each key must name a flag of the command, once."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -156,7 +153,7 @@ def _config(args: argparse.Namespace) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    keys = {row[0] for row in SETTINGS + (_AXES[args.command],)}
+    keys = vars(args).keys() - {"command", "func", "config"}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,17 +188,15 @@ def _axis(args: argparse.Namespace, cfg: dict[str, str], example) -> list:
 def _settings(
     args: argparse.Namespace, cfg: dict[str, str], **fixed
 ) -> tuple[ExperimentSpec, RunOptions]:
-    """Resolve every table row except the ExperimentSpec fields in
-    ``fixed``, which the command sets; all are validated here, before
-    anything is written."""
+    """Resolve every table row from its flag, config entry or default,
+    beside the ExperimentSpec fields in ``fixed``, which the command sets;
+    all are validated here, before anything is written."""
     values: dict[str, dict] = {"": {}, "config": {}, "run": {}}
     for key, target, _ in SETTINGS:
-        source, raw = key, _pick(args, cfg, key)
-        if raw is None and key == "seed":
-            source, raw = ENV_SEED, os.environ.get(ENV_SEED)
-        if raw is not None and target not in fixed:
+        raw = _pick(args, cfg, key)
+        if raw is not None:
             owner, _, name = target.rpartition(".")
-            values[owner][name] = _cast(source, raw, _DEFAULTS[target])
+            values[owner][name] = _cast(key, raw, _DEFAULTS[target])
     try:
         config = EvoConfig(variant=fixed["variants"][0], **values["config"])
         spec = ExperimentSpec(config=config, **values[""], **fixed)
@@ -289,10 +284,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     src = Path(args.input)
     if not src.exists():
         raise FileNotFoundError(f"no such file: {src}")
-    header = src.read_text(encoding="utf-8").splitlines()[:1]
-    if header == [TRACE_HEADER]:
+    with src.open(encoding="utf-8") as file:  # the first line only; the reader reads it all
+        header = file.readline().rstrip("\n")
+    if header == TRACE_HEADER:
         rows, chart = read_trace_rows(src), svgplot.trace_chart
-    elif header == [SWEEP_HEADER]:
+    elif header == SWEEP_HEADER:
         rows, chart = read_csv_rows(src, SWEEP_HEADER, _SWEEP_CASTS), svgplot.sweep_chart
     else:
         raise ValueError(f"{src}: unrecognized header; expected a trace or sweep CSV")
@@ -385,7 +381,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -135,19 +135,27 @@ def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
 
 
 def write_atomic(path: str | Path, text: str, exclusive: bool = False) -> None:
-    """Write ``text`` as UTF-8 to a temp file beside ``path``, then rename
-    it over ``path``, so readers see the old file or the whole new one;
-    every file the package writes goes through here. The pid and a random
-    token keep concurrent writers' temp names apart. ``exclusive`` links
-    the temp file to ``path`` instead, which raises FileExistsError if
-    ``path`` exists."""
+    """Write ``text`` as UTF-8 to a temp file beside ``path``, fsync it,
+    rename it over ``path`` and fsync the directory, so readers see the old
+    file or the whole new one, also after a power loss; every file the
+    package writes goes through here. The pid and a random token keep
+    concurrent writers' temp names apart. ``exclusive`` links the temp file
+    to ``path`` instead, which raises FileExistsError if ``path`` exists."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as file:
+            file.write(text)
+            file.flush()
+            os.fsync(file.fileno())
         (os.link if exclusive else os.replace)(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def save_network(net: Network, path: str | Path) -> None:

@@ -7,6 +7,7 @@ covered elsewhere.
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from dendrevo.cli import (
     SUMMARY_HEADER,
     SWEEP_HEADER,
     RunOptions,
+    UsageError,
     _config,
     _settings,
     build_parser,
@@ -43,11 +45,6 @@ TINY = [
     "--n", "8", "--k", "2", "--pop", "6", "--hidden", "2",
     "--generations", "2", "--train-size", "10", "--test-size", "10",
 ]
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("DENDREVO_SEED", raising=False)
 
 
 def tiny_run(tmp_path, name, *extra):
@@ -122,16 +119,16 @@ def test_run_plot_flag_writes_chart(tmp_path):
     assert root.tag.rsplit("}", 1)[-1] == "svg"
 
 
-def test_seed_falls_back_to_environment(tmp_path, monkeypatch):
-    explicit = tiny_run(tmp_path, "flagged")
-    monkeypatch.setenv("DENDREVO_SEED", "3")
-    env_out = tmp_path / "env"
-    assert main(["run", *TINY, "--runs", "1", "--out", str(env_out)]) == 0
-    assert (env_out / "trace.csv").read_bytes() == (explicit / "trace.csv").read_bytes()
-    # An explicit flag still beats the environment.
+def test_seed_ignores_the_environment(tmp_path, monkeypatch):
+    """Without --seed or a seed key the seed is its field's default,
+    whatever the environment holds."""
+    default = ExperimentSpec(config=EvoConfig()).master_seed
+    assert default != 999
+    flagged, ambient = tmp_path / "flagged", tmp_path / "ambient"
+    assert main(["run", *TINY, "--runs", "1", "--seed", str(default), "--out", str(flagged)]) == 0
     monkeypatch.setenv("DENDREVO_SEED", "999")
-    beaten = tiny_run(tmp_path, "beaten")
-    assert (beaten / "trace.csv").read_bytes() == (explicit / "trace.csv").read_bytes()
+    assert main(["run", *TINY, "--runs", "1", "--out", str(ambient)]) == 0
+    assert (ambient / "trace.csv").read_bytes() == (flagged / "trace.csv").read_bytes()
 
 
 def test_a_failed_cell_exits_1(tmp_path, monkeypatch, capsys):
@@ -141,13 +138,6 @@ def test_a_failed_cell_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_cell", boom)
     assert main(["run", *TINY, "--runs", "1", "--out", str(tmp_path / "x")]) == 1
     assert "error: run failed" in capsys.readouterr().err
-
-
-def test_seed_rejects_non_integer_environment(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DENDREVO_SEED", "soon")
-    rc = main(["run", *TINY, "--runs", "1", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "DENDREVO_SEED" in capsys.readouterr().err
 
 
 def config_text(out_dir) -> str:
@@ -212,7 +202,8 @@ def test_config_rejects_a_key_given_twice(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, key", [("sweep", "variants"), ("compare", "n_values"), ("run", "variants")]
+    "command, key",
+    [("sweep", "variants"), ("sweep", "n"), ("compare", "n_values"), ("run", "variants")],
 )
 def test_config_rejects_another_commands_axis(tmp_path, capsys, command, key):
     cfg = tmp_path / "exp.cfg"
@@ -224,6 +215,28 @@ def test_config_rejects_another_commands_axis(tmp_path, capsys, command, key):
     assert main([command, "--config", str(cfg), *tiny]) == 2
     assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def _flag_dests(command: str) -> set[str]:
+    """The dests of ``command``'s flags, --help and --config aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions} - {"help", "config"}
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_config_accepts_exactly_the_commands_flags(tmp_path, command):
+    every_dest = _flag_dests("run") | _flag_dests("compare") | _flag_dests("sweep")
+    cfg = tmp_path / "exp.cfg"
+    accepted = set()
+    for key in sorted(every_dest | {"command", "func", "config", "votes"}):
+        cfg.write_text(f"{key} = 1\n")
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        try:
+            _config(args)
+        except UsageError:
+            continue
+        accepted.add(key)
+    assert accepted == _flag_dests(command)
 
 
 def test_config_rejects_malformed_line(tmp_path, capsys):
@@ -369,15 +382,19 @@ def _other_value(default):
     "key,target", [row[:2] for row in SETTINGS], ids=[row[0] for row in SETTINGS]
 )
 def test_every_setting_reaches_its_field(tmp_path, key, target):
+    """Through each experiment command's flag and config key; sweep has no n."""
     default = _field(*_defaults(), target)
-    assert _field(*_resolved(["run"]), target) == default
     value, spelled = _other_value(default)
     flag = "--" + key.replace("_", "-")
     argv = [flag] if isinstance(default, bool) else [flag, spelled]
-    assert _field(*_resolved(["run", *argv]), target) == value
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"{key} = {spelled}\n")
-    assert _field(*_resolved(["run", "--config", str(cfg)]), target) == value
+    for command in ("run", "compare", "sweep"):
+        if command == "sweep" and key == "n":
+            continue
+        assert _field(*_resolved([command]), target) == default
+        assert _field(*_resolved([command, *argv]), target) == value
+        assert _field(*_resolved([command, "--config", str(cfg)]), target) == value
 
 
 def test_every_dataclass_field_is_a_setting_or_set_per_cell():
@@ -486,10 +503,8 @@ def test_sweep_with_one_run_per_cell_writes_its_table(tmp_path, capsys):
 
 
 def test_sweep_checks_k_against_its_sizes_only(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("n = 2\n")  # sweep ignores n
     rc = main([
-        "sweep", "--config", str(cfg), "--k", "3", "--n-values", "5,6",
+        "sweep", "--k", "3", "--n-values", "5,6",
         "--pop", "6", "--hidden", "2", "--generations", "1", "--runs", "2",
         "--train-size", "5", "--test-size", "5", "--out", str(tmp_path / "swp"),
     ])
@@ -568,6 +583,24 @@ def test_plot_renders_sweep_csv(tmp_path):
     dest = tmp_path / "sweep.svg"
     assert main(["plot", "--input", str(src), "--out", str(dest)]) == 0
     ET.parse(dest)
+
+
+def test_plot_reads_its_input_once(tmp_path, monkeypatch):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE_HEADER + "\ndendrite,0,0,0.1,0.12,0,0.01\n")
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text(SWEEP_HEADER + "\n25,standard,test,0.04,0.03,0.05\n")
+    reads = []
+    real_read_text = Path.read_text
+
+    def read_text(path, *args, **kwargs):
+        reads.append(path)
+        return real_read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    for src in (trace, sweep):
+        assert main(["plot", "--input", str(src), "--out", str(tmp_path / "x.svg")]) == 0
+    assert [path for path in reads if path in (trace, sweep)] == [trace, sweep]
 
 
 def test_plot_missing_input_is_a_runtime_error(tmp_path, capsys):

@@ -58,8 +58,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_small_grid_trace_matches_the_golden_digest(tmp_path, monkeypatch):
-    monkeypatch.delenv("DENDREVO_SEED", raising=False)
+def test_small_grid_trace_matches_the_golden_digest(tmp_path):
     assert main([*GRID, "--out", str(tmp_path)]) == 0
     assert sha256((tmp_path / "trace.csv").read_bytes()) == TRACE_SHA256
     for name, digest in GRID_ARTIFACT_SHA256.items():
@@ -69,20 +68,17 @@ def test_small_grid_trace_matches_the_golden_digest(tmp_path, monkeypatch):
     assert sha256(b"".join(p.read_bytes() for p in genomes)) == GRID_GENOMES_SHA256
 
 
-def test_resampling_cell_trace_matches_the_golden_digest(tmp_path, monkeypatch):
-    monkeypatch.delenv("DENDREVO_SEED", raising=False)
+def test_resampling_cell_trace_matches_the_golden_digest(tmp_path):
     assert main([*RESAMPLE_CELL, "--out", str(tmp_path)]) == 0
     assert sha256((tmp_path / "trace.csv").read_bytes()) == RESAMPLE_TRACE_SHA256
 
 
-def test_center_band_cell_trace_matches_the_golden_digest(tmp_path, monkeypatch):
-    monkeypatch.delenv("DENDREVO_SEED", raising=False)
+def test_center_band_cell_trace_matches_the_golden_digest(tmp_path):
     assert main([*CENTER_BAND_CELL, "--out", str(tmp_path)]) == 0
     assert sha256((tmp_path / "trace.csv").read_bytes()) == CENTER_BAND_TRACE_SHA256
 
 
-def test_sweep_table_and_chart_match_the_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("DENDREVO_SEED", raising=False)
+def test_sweep_table_and_chart_match_the_golden_digests(tmp_path):
     assert main([*SWEEP, "--out", str(tmp_path)]) == 0
     for name, digest in SWEEP_ARTIFACT_SHA256.items():
         assert sha256((tmp_path / name).read_bytes()) == digest, name
@@ -91,7 +87,6 @@ def test_sweep_table_and_chart_match_the_golden_digests(tmp_path, monkeypatch):
 def test_golden_digests_hold_with_every_test_row_on_the_helper_thread(tmp_path, monkeypatch):
     """No pinned cell reaches OVERLAP_MIN_MACS, so patch it to 0: every row
     whose best genome has no drop gate is then priced on the helper thread."""
-    monkeypatch.delenv("DENDREVO_SEED", raising=False)
     monkeypatch.setattr(evolve, "OVERLAP_MIN_MACS", 0)
     callers = set()
     direct = evolve.mse

@@ -232,19 +232,27 @@ def test_cell_files_arrive_by_rename_and_leave_no_temp_files(tmp_path, monkeypat
 
 
 def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
-    """A failure at the temp file's write or at its rename leaves the old file."""
+    """A failure at the temp file's write, its fsync or its rename leaves the old file."""
     target = tmp_path / "cell.trace.csv"
     target.write_text("old\n")
-    real_write = Path.write_text
+    real_open = Path.open
 
-    def fail_write(path, text, *args, **kwargs):
-        real_write(path, text[:3], *args, **kwargs)  # a partial temp file
+    def fail_write(path, *args, **kwargs):
+        file = real_open(path, *args, **kwargs)
+
+        def write(text):
+            type(file).write(file, text[:3])  # a partial temp file
+            raise OSError("disk full")
+
+        file.write = write
+        return file
+
+    def fail(*args):
         raise OSError("disk full")
 
-    def fail_rename(src, dst):
-        raise OSError("disk full")
-
-    injections = ((Path, "write_text", fail_write), (harness.os, "replace", fail_rename))
+    injections = (
+        (Path, "open", fail_write), (harness.os, "fsync", fail), (harness.os, "replace", fail)
+    )
     for owner, name, fail in injections:
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, fail)
@@ -277,6 +285,19 @@ def test_only_the_atomic_writer_writes_files():
                 ):
                     writers.add((path.stem, func.name))
     assert writers == {("harness", "write_atomic")}
+
+
+def test_no_module_reads_the_environment():
+    """Settings come from the command line and the config file alone."""
+    reads = {"environ", "environb", "getenv"}
+    readers = set()
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in reads:
+                readers.add((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers |= {(path.stem, alias.name) for alias in node.names if alias.name in reads}
+    assert readers == set()
 
 
 def test_a_failed_cell_is_named_in_the_error(tmp_path, monkeypatch):
