@@ -10,6 +10,7 @@ the acceptance criteria use; every other name is imported from its module.
 
 from .evolve import (
     EvoConfig,
+    Individual,
     Variant,
     describe_mutation,
     run_evolution,
@@ -25,7 +26,7 @@ from .harness import (
     sweep_n,
     welch_t_test,
 )
-from .net import Individual, Network, count_active_gates, mse, predict
+from .net import Network, count_active_gates, mse, predict
 from .nk import (
     Encoding,
     build_landscape,

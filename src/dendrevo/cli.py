@@ -38,7 +38,7 @@ from .harness import (
     write_csv,
     write_trace_csv,
 )
-from .net import count_active_gates, gate_fraction, load_network
+from .net import count_active_gates, load_network
 from . import svgplot
 
 # Each report's columns are its dataclass's fields; summary.csv adds the
@@ -308,7 +308,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"active_gates_total = {total}")
     print(f"active_gates_input_layer = {in_count}")
     print(f"active_gates_output_layer = {out_count}")
-    print(f"gate_fraction_of_gateable = {format_float(gate_fraction(net))}")
+    print(f"gate_fraction_of_gateable = {format_float(total / net.gateable_count)}")
     print(f"gate_fraction_of_parameters = {format_float(total / net.param_count)}")
     input_counts = np.count_nonzero(net.gate_kind_in, axis=1)
     for j in range(net.h):

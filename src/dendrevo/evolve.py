@@ -38,7 +38,6 @@ from .net import (
     DROP, OPEN_KINDS,
     GateKind,
     GateState,
-    Individual,
     Network,
     count_active_gates,
     det_gates,
@@ -82,7 +81,7 @@ class EvoConfig:
             raise ValueError("generations cannot be negative")
 
 
-Population = list  # exactly p Individuals, fitnesses cached on the training set
+Population = list  # exactly p Individuals, each priced on the training set
 
 _GENOME_ARRAYS = tuple(name for name in Network.__slots__ if name != "b_out")
 
@@ -116,27 +115,20 @@ class RunTrace:
     final_network: Network
 
 
-def seed_population(
-    config: EvoConfig,
-    n: int,
-    train: Dataset,
-    rng: np.random.Generator,
-) -> Population:
-    """P networks with weights and biases uniform in [-1, 1], unpriced (fitness
-    inf): :func:`run_evolution` prices them all at once. Their inactive gates are
-    one blank genome's arrays, shared, as no population genome is written in place."""
-    if len(train) == 0:
-        raise ValueError("training set must be nonempty")
+def seed_population(config: EvoConfig, n: int, rng: np.random.Generator) -> list[Network]:
+    """P read-only genomes with weights and biases uniform in [-1, 1], which
+    :func:`run_evolution` prices all at once. Their inactive gates are one blank
+    genome's arrays, shared, as no population genome is written in place."""
     blank = Network(n, config.h)
-    pop: Population = []
+    nets = []
     for _ in range(config.p):
         net = blank.child()
         net.w_in = rng.uniform(-1.0, 1.0, size=(config.h, n))
         net.b_hidden = rng.uniform(-1.0, 1.0, size=config.h)
         net.w_out = rng.uniform(-1.0, 1.0, size=config.h)
         net.b_out = float(rng.uniform(-1.0, 1.0))
-        pop.append(Individual(_freeze(net), float("inf"), 0))
-    return pop
+        nets.append(_freeze(net))
+    return nets
 
 
 def tournament_select(pop: Population, rng: np.random.Generator) -> int:
@@ -154,24 +146,18 @@ def tournament_select(pop: Population, rng: np.random.Generator) -> int:
 
 # --- single-gene mutation -----------------------------------------------------
 
-# Flat parameter layout for weight mutations: input weights row-major,
-# then hidden biases, then output weights, then the output bias.
-_FIELD_W_IN = 0
-_FIELD_B_HIDDEN = 1
-_FIELD_W_OUT = 2
-_FIELD_B_OUT = 3
-
 #: Probability that a mutation of a gated variant hits a gate, not a weight.
 GATE_MUTATION_PROB = 0.5
 
 
 @dataclass(frozen=True)
 class WeightChange:
-    """One weight or bias shifted by delta."""
+    """One weight or bias shifted by delta, addressed as a GateChange is;
+    i = -1 names a bias: hidden node j's, or in the output layer (j = 0) the output's."""
 
-    kind: int  # one of the _FIELD_* codes
-    j: int  # hidden node (unused for the output bias)
-    i: int  # input index, input-weight changes only
+    output_layer: bool
+    j: int
+    i: int
     delta: float
 
 
@@ -181,8 +167,8 @@ class GateChange:
     re-enable move is a deliberate no-op)."""
 
     output_layer: bool
-    j: int
-    i: int  # input index, input-layer changes only
+    j: int  # hidden node: the connection's target, or in the output layer its source
+    i: int  # input index, input-layer changes only (0 in the output layer)
     old: GateState
     new: GateState
 
@@ -271,18 +257,18 @@ def describe_mutation(
         j, i = divmod(param_idx, n)
         child = parent.child("w_in")
         child.w_in[j, i] += delta
-        return _freeze(child, ("w_in",)), WeightChange(_FIELD_W_IN, j, i, delta)
-    # Past the input weights come h biases, h output weights, the output bias.
-    kind, j = divmod(param_idx - n * h + h, h)
-    if kind == _FIELD_B_OUT:
+        return _freeze(child, ("w_in",)), WeightChange(False, j, i, delta)
+    # Past the input weights come h hidden biases, h output weights, the output bias.
+    j = param_idx - n * h
+    if j == 2 * h:
         child = parent.child()
         child.b_out += delta
-    else:
-        name = "b_hidden" if kind == _FIELD_B_HIDDEN else "w_out"
-        child = parent.child(name)
-        getattr(child, name)[j] += delta
-        _freeze(child, (name,))
-    return child, WeightChange(kind, j, 0, delta)
+        return child, WeightChange(True, 0, -1, delta)
+    out = j >= h
+    name, j, i = ("w_out", j - h, 0) if out else ("b_hidden", j, -1)
+    child = parent.child(name)
+    getattr(child, name)[j] += delta
+    return _freeze(child, (name,)), WeightChange(out, j, i, delta)
 
 
 def _replace_slot(
@@ -329,6 +315,21 @@ class EvalState:
     @property
     def det_pre_hidden(self) -> np.ndarray:  # a fresh (samples, h) matrix, C order
         return np.array(self.pre_cols).T.copy()
+
+
+@dataclass
+class Individual:
+    """A population member: its genome, training error and active gate
+    count, and the training-set state the error was scored from."""
+
+    network: Network
+    fitness: float  # training MSE, lower is better
+    active_gate_count: int
+    state: EvalState | None = None
+
+    def __post_init__(self) -> None:
+        if self.fitness < 0:
+            raise ValueError("fitness (an MSE) cannot be negative")
 
 
 class TrainEvaluator:
@@ -386,11 +387,32 @@ class TrainEvaluator:
                 pre_out -= terms
         return hidden, pre_out
 
-    @staticmethod
-    def _with_node(child: Network, parent: EvalState, j: int, pre_j) -> EvalState:
-        """The parent state with node j's pre-activation column set to pre_j
-        and the change carried through; the other columns are shared."""
-        h_old, h_new = parent.hidden_cols[j], expit(pre_j)
+    def child_state(
+        self, parent_state: EvalState, child: Network, change: MutationRecord
+    ) -> EvalState:
+        """The child's state, built out of place: only the mutated node's
+        columns and det_pre_out are new arrays. The edit adds one term to node
+        j's pre-activation, or in the output layer to det_pre_out: a bias edit
+        adds delta, a weight edit delta * values * pass, and a gate edit
+        w * values * (new pass - old pass), where values is the wire's input."""
+        pre, hidden = parent_state.pre_cols, parent_state.hidden_cols
+        out, j, i = change.output_layer, change.j, change.i
+        if i < 0:
+            term = change.delta  # a bias has no gate
+        else:
+            values, at = (hidden[j], j) if out else (self.features[:, i], (j, i))
+            kinds, a, b, w = child.layer(out)
+            passed = pass_mask(int(kinds[at]), a[at], b[at], values)
+            if isinstance(change, WeightChange):
+                term = change.delta * values * passed
+            else:
+                old = change.old
+                term = float(w[at]) * values * (passed - pass_mask(old.kind, old.a, old.b, values))
+        if out:
+            return EvalState(pre, hidden, parent_state.det_pre_out + term)
+        # Node j's new pre-activation, carried through its output connection.
+        pre_j = pre[j] + term
+        h_old, h_new = hidden[j], expit(pre_j)
         kind = int(child.gate_kind_out[j])
         if kind in OPEN_KINDS:
             diff = h_new - h_old
@@ -399,42 +421,10 @@ class TrainEvaluator:
             diff = h_new * pass_mask(kind, a, b, h_new)
             diff -= h_old * pass_mask(kind, a, b, h_old)
         return EvalState(
-            parent.pre_cols[:j] + (pre_j,) + parent.pre_cols[j + 1 :],
-            parent.hidden_cols[:j] + (h_new,) + parent.hidden_cols[j + 1 :],
-            parent.det_pre_out + float(child.w_out[j]) * diff,
+            pre[:j] + (pre_j,) + pre[j + 1 :],
+            hidden[:j] + (h_new,) + hidden[j + 1 :],
+            parent_state.det_pre_out + float(child.w_out[j]) * diff,
         )
-
-    def child_state(
-        self, parent_state: EvalState, child: Network, change: MutationRecord
-    ) -> EvalState:
-        """The child's state, built out of place: only the mutated node's
-        columns and det_pre_out are new arrays."""
-        pre, hidden = parent_state.pre_cols, parent_state.hidden_cols
-        j, i = change.j, change.i
-        if isinstance(change, WeightChange):
-            if change.kind == _FIELD_W_IN:
-                column = self.features[:, i]
-                kind = int(child.gate_kind_in[j, i])
-                mask = pass_mask(kind, child.gate_a_in[j, i], child.gate_b_in[j, i], column)
-                term = change.delta * column * mask
-                return self._with_node(child, parent_state, j, pre[j] + term)
-            if change.kind == _FIELD_B_HIDDEN:
-                return self._with_node(child, parent_state, j, pre[j] + change.delta)
-            if change.kind == _FIELD_W_OUT:
-                kind = int(child.gate_kind_out[j])
-                mask = pass_mask(kind, child.gate_a_out[j], child.gate_b_out[j], hidden[j])
-                term = change.delta * hidden[j] * mask
-            else:
-                term = change.delta
-            return EvalState(pre, hidden, parent_state.det_pre_out + term)
-        old, new, out = change.old, change.new, change.output_layer
-        values = hidden[j] if out else self.features[:, i]
-        term = float(child.w_out[j] if out else child.w_in[j, i]) * values * (
-            pass_mask(new.kind, new.a, new.b, values) - pass_mask(old.kind, old.a, old.b, values)
-        )
-        if out:
-            return EvalState(pre, hidden, parent_state.det_pre_out + term)
-        return self._with_node(child, parent_state, j, pre[j] + term)
 
     def score(
         self, net: Network, state: EvalState, rng: np.random.Generator | None = None
@@ -466,8 +456,8 @@ OVERLAP_MIN_MACS = 2_000_000
 
 def _record(pop: Population, generation: int, test: Dataset, rng, pool: ThreadPoolExecutor):
     """The generation's trace row, as a call that returns it. All but the best
-    member's test error is read now (``_price`` rewrites fitness in place); that
-    is priced on ``pool``'s thread with no rng, unless the product is below
+    member's test error is read now, before the next generation replaces members;
+    that is priced on ``pool``'s thread with no rng, unless the product is below
     OVERLAP_MIN_MACS or a drop gate needs ``rng``'s coins in order."""
     best = min(pop, key=lambda m: m.fitness)
     net, denom = best.network, best.network.param_count
@@ -483,14 +473,15 @@ def _record(pop: Population, generation: int, test: Dataset, rng, pool: ThreadPo
     return lambda: row(future.result())
 
 
-def _price(pop: Population, train: Dataset, rng: np.random.Generator):
-    """Score every member on ``train`` from scratch, in population order;
-    return the evaluator and the members' states."""
+def _price(nets: list[Network], train: Dataset, rng: np.random.Generator):
+    """Score every genome on ``train`` from scratch, in order; return the
+    evaluator and a population of the priced members."""
     evaluator = TrainEvaluator(train)
-    states = evaluator.full_states([member.network for member in pop])
-    for member, state in zip(pop, states):
-        member.fitness = evaluator.score(member.network, state, rng)
-    return evaluator, states
+    pop = [
+        Individual(net, evaluator.score(net, state, rng), count_active_gates(net)[0], state)
+        for net, state in zip(nets, evaluator.full_states(nets))
+    ]
+    return evaluator, pop
 
 
 def run_evolution(
@@ -512,6 +503,8 @@ def run_evolution(
     per-generation training-set resampling is enabled, and that run draws
     its table once and holds it; pass None otherwise if it has been dropped.
     """
+    if len(train) == 0:
+        raise ValueError("training set must be nonempty")
     if train.n != test.n:
         raise ValueError(f"train n={train.n} and test n={test.n} disagree")
     if landscape is not None and landscape.n != train.n:
@@ -521,29 +514,20 @@ def run_evolution(
             raise ValueError("training-set resampling needs the landscape")
         landscape = landscape.dense()
 
-    pop = seed_population(config, train.n, train, rng)
-    evaluator, states = _price(pop, train, rng)
+    evaluator, pop = _price(seed_population(config, train.n, rng), train, rng)
     records = []
     with ThreadPoolExecutor(max_workers=1) as pool:  # starts a thread on first submit
         row = _record(pop, 0, test, rng, pool)
         for generation in range(1, config.generations + 1):
             if config.resample_train_each_generation:
                 train = generate_dataset(landscape, len(train), train.encoding, rng)
-                evaluator, states = _price(pop, train, rng)
+                evaluator, pop = _price([member.network for member in pop], train, rng)
             for _ in range(config.p):
-                parent_idx = tournament_select(pop, rng)
-                child_net, change = describe_mutation(
-                    pop[parent_idx].network, config, rng
-                )
-                child_state = evaluator.child_state(states[parent_idx], child_net, change)
-                child = Individual(
-                    child_net,
-                    evaluator.score(child_net, child_state, rng),
-                    count_active_gates(child_net)[0],
-                )
-                slot, moved_in = _replace_slot(pop, child, rng)
-                if moved_in:
-                    states[slot] = child_state
+                parent = pop[tournament_select(pop, rng)]
+                net, change = describe_mutation(parent.network, config, rng)
+                state = evaluator.child_state(parent.state, net, change)
+                fitness = evaluator.score(net, state, rng)
+                _replace_slot(pop, Individual(net, fitness, count_active_gates(net)[0], state), rng)
             records.append(row())
             row = _record(pop, generation, test, rng, pool)
         records.append(row())

@@ -27,7 +27,8 @@ from scipy.special import betainc
 
 from .evolve import EvoConfig, RunTrace, TraceRecord, Variant, run_evolution
 from .net import Network, ablate_output_gates, format_network, load_network, mse
-from .nk import Encoding, build_landscape, generate_dataset, generate_datasets
+# generate_dataset is bound here, though unused, for bench/tracer.py to patch.
+from .nk import Dataset, Encoding, NKLandscape, build_landscape, generate_dataset, generate_datasets
 
 TRACE_HEADER = ",".join(["variant", "run", *(f.name for f in fields(TraceRecord))])
 _record_values = attrgetter(*(f.name for f in fields(TraceRecord)))
@@ -115,9 +116,12 @@ def _cell_seeds(
     )
 
 
-def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
-    """Execute one (variant, run) cell of the grid."""
-    land_seed, train_seed, test_seed, evolve_seed = _cell_seeds(spec, variant, run)
+def cell_task(
+    spec: ExperimentSpec, variant: Variant, run: int
+) -> tuple[NKLandscape, Dataset, Dataset]:
+    """One (variant, run) cell's landscape, train set and test set, each set
+    drawn from its own stream, so a set's bytes do not depend on the other."""
+    land_seed, train_seed, test_seed, _ = _cell_seeds(spec, variant, run)
     landscape = build_landscape(spec.n, spec.k, land_seed)
     train, test = generate_datasets(
         landscape,
@@ -125,10 +129,14 @@ def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
         (spec.train_size, np.random.default_rng(train_seed)),
         (spec.test_size, np.random.default_rng(test_seed)),
     )
+    return landscape, train, test
+
+
+def run_cell(spec: ExperimentSpec, variant: Variant, run: int) -> RunTrace:
+    """Execute one (variant, run) cell of the grid."""
     config = dc_replace(spec.config, variant=variant)
-    return run_evolution(
-        config, landscape, train, test, np.random.default_rng(evolve_seed)
-    )
+    rng = np.random.default_rng(_cell_seeds(spec, variant, run)[3])
+    return run_evolution(config, *cell_task(spec, variant, run), rng)
 
 
 # --- per-cell persistence ---------------------------------------------------
@@ -483,7 +491,7 @@ def ablation_study(spec: ExperimentSpec, result: ExperimentResult) -> AblationRe
     grid of ``spec``) with output gates cut.
 
     Each genome is scored on its own run's test set, which is rebuilt
-    from the cell seeds, so a cached experiment can be ablated without
+    by :func:`cell_task`, so a cached experiment can be ablated without
     rerunning evolution.
     """
     needed = (Variant.STANDARD, Variant.DENDRITE_THRESHOLD)
@@ -491,11 +499,7 @@ def ablation_study(spec: ExperimentSpec, result: ExperimentResult) -> AblationRe
         raise ValueError("ablation needs both the standard and dendrite variants")
     gated, ablated = [], []
     for run, trace in enumerate(result[Variant.DENDRITE_THRESHOLD]):
-        land_seed, _, test_seed, _ = _cell_seeds(spec, Variant.DENDRITE_THRESHOLD, run)
-        landscape = build_landscape(spec.n, spec.k, land_seed)
-        test = generate_dataset(
-            landscape, spec.test_size, spec.encoding, np.random.default_rng(test_seed)
-        )
+        _, _, test = cell_task(spec, Variant.DENDRITE_THRESHOLD, run)
         net = trace.final_network
         gated.append(mse(net, test))
         ablated.append(mse(ablate_output_gates(net), test))

@@ -158,18 +158,11 @@ class Network:
         self.gate_a_out[j] = gate.a
         self.gate_b_out[j] = gate.b
 
-
-@dataclass
-class Individual:
-    """A network genome with its cached training error and gate count."""
-
-    network: Network
-    fitness: float  # training MSE, lower is better
-    active_gate_count: int
-
-    def __post_init__(self) -> None:
-        if self.fitness < 0:
-            raise ValueError("fitness (an MSE) cannot be negative")
+    def layer(self, output: bool) -> tuple[np.ndarray, ...]:
+        """One layer's (gate kinds, gate a, gate b, weights) arrays."""
+        if output:
+            return self.gate_kind_out, self.gate_a_out, self.gate_b_out, self.w_out
+        return self.gate_kind_in, self.gate_a_in, self.gate_b_in, self.w_in
 
 
 def blocked_matrix(
@@ -253,8 +246,7 @@ def retract_input_gates(
     the (batch, h) hidden pre-activations ``pre``, in place; each node's
     terms are summed by one ``np.add.reduceat`` segment."""
     nodes, inputs = np.divmod(flat, net.n)  # row-major, so nodes ascend
-    layer = (net.gate_kind_in, net.gate_a_in, net.gate_b_in, net.w_in)
-    terms = gate_terms(layer, flat, np.take(features, inputs, axis=1), rng)
+    terms = gate_terms(net.layer(False), flat, np.take(features, inputs, axis=1), rng)
     starts = np.flatnonzero(np.diff(nodes, prepend=-1))
     sums = np.add.reduceat(terms, starts, axis=1)
     if starts.size == pre.shape[1]:
@@ -272,8 +264,7 @@ def output_terms(
     """(batch, gates) terms of the output gates at ``flat``, whose inputs are
     the hidden activation columns ``hidden_cols[j]``; callers sum them."""
     values = np.column_stack([hidden_cols[j] for j in flat])  # C order fixes a row sum's adds
-    layer = (net.gate_kind_out, net.gate_a_out, net.gate_b_out, net.w_out)
-    return gate_terms(layer, flat, values, rng)
+    return gate_terms(net.layer(True), flat, values, rng)
 
 
 def predict(
@@ -324,12 +315,6 @@ def count_active_gates(net: Network) -> tuple[int, tuple[int, int]]:
     in_count = int(np.count_nonzero(net.gate_kind_in))
     out_count = int(np.count_nonzero(net.gate_kind_out))
     return in_count + out_count, (in_count, out_count)
-
-
-def gate_fraction(net: Network) -> float:
-    """Active gates as a fraction of the gateable connections."""
-    total, _ = count_active_gates(net)
-    return total / net.gateable_count
 
 
 def ablate_output_gates(net: Network) -> Network:

@@ -43,17 +43,15 @@ from dendrevo import (
     count_active_gates,
     describe_mutation,
     evaluate_genomes,
-    generate_dataset,
     mse,
     predict,
     read_trace_rows,
-    run_cell,
     run_experiment,
     welch_t_test,
 )
 from dendrevo.cli import main as cli_main
 from dendrevo.evolve import _replace_slot
-from dendrevo.harness import _cell_seeds
+from dendrevo.harness import cell_task
 
 GRID_SEED = 42
 FLOOR_SEED = 37
@@ -404,7 +402,7 @@ def test_criterion_09_desk_grid_budget_and_artifacts(desk_grid):
 # --- criterion 10: evolved nets beat the constant-0.5 predictor -----------------
 
 
-def test_criterion_10_floor_against_constant_predictor():
+def test_criterion_10_floor_against_constant_predictor(tmp_path):
     start = time.perf_counter()
     config = EvoConfig(
         p=50,
@@ -426,13 +424,9 @@ def test_criterion_10_floor_against_constant_predictor():
     )
     ok = True
     margins = []
-    for run in range(spec.runs):
-        trace = run_cell(spec, Variant.STANDARD, run)
-        land_seed, _, test_seed, _ = _cell_seeds(spec, Variant.STANDARD, run)
-        landscape = build_landscape(spec.n, spec.k, land_seed)
-        test = generate_dataset(
-            landscape, spec.test_size, spec.encoding, np.random.default_rng(test_seed)
-        )
+    traces = run_experiment(spec, out_dir=tmp_path, workers=2)[Variant.STANDARD]
+    for run, trace in enumerate(traces):
+        _, _, test = cell_task(spec, Variant.STANDARD, run)
         constant = float(np.mean((0.5 - test.targets) ** 2))
         final = float(mse(trace.final_network, test))
         ok = ok and final <= constant

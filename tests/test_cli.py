@@ -37,7 +37,7 @@ from dendrevo.evolve import EvoConfig, Variant
 from dendrevo.harness import (
     ExperimentSpec, TRACE_HEADER, format_float, read_trace_rows, save_network,
 )
-from dendrevo.net import GateKind, GateState, Network, count_active_gates, gate_fraction
+from dendrevo.net import GateKind, GateState, Network, count_active_gates
 
 # Shared tiny-problem flags: n=8, k=2, 6 genomes, 2 hidden nodes,
 # 2 generations, 10-sample data sets.
@@ -237,6 +237,17 @@ def test_config_accepts_exactly_the_commands_flags(tmp_path, command):
             continue
         accepted.add(key)
     assert accepted == _flag_dests(command)
+
+
+def test_a_value_of_the_wrong_type_is_a_usage_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["run", *TINY, "--n", "abc", "--out", str(out)]) == 2
+    assert "usage error: n: bad value 'abc'" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_text(out).replace("pop = 6\n", "pop = 1.5\n"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "usage error: pop: bad value '1.5'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_rejects_malformed_line(tmp_path, capsys):
@@ -657,7 +668,7 @@ def test_inspect_reports_gate_placement(tmp_path, capsys):
     assert report["active_gates_total"] == str(total) == "3"
     assert report["active_gates_input_layer"] == str(in_count) == "2"
     assert report["active_gates_output_layer"] == str(out_count) == "1"
-    assert report["gate_fraction_of_gateable"] == format_float(gate_fraction(net))
+    assert report["gate_fraction_of_gateable"] == format_float(3 / 8) == "0.375"
     assert report["input_gates[0]"] == "0"
     assert report["input_gates[1]"] == "2"
     assert report["output_gated[0]"] == "1"

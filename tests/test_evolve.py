@@ -1,7 +1,6 @@
 """Selection, mutation, replacement, and the incremental evaluator."""
 
 import copy
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +13,7 @@ from dendrevo.evolve import (
     TrainEvaluator,
     Variant,
     WeightChange,
+    Individual,
     _replace_slot,
     describe_mutation,
     run_evolution,
@@ -23,7 +23,6 @@ from dendrevo.evolve import (
 from dendrevo.net import (
     GateKind,
     GateState,
-    Individual,
     Network,
     count_active_gates,
     mse,
@@ -85,7 +84,7 @@ def test_standard_variant_never_mutates_gates(task, monkeypatch):
     cfg = EvoConfig(variant=Variant.STANDARD)
     monkeypatch.setattr(evolve, "GATE_MUTATION_PROB", 1.0)  # STANDARD still never takes it
     rng = np.random.default_rng(0)
-    parent = seed_population(cfg, train.n, train, rng)[0].network
+    parent = seed_population(cfg, train.n, rng)[0]
     for _ in range(2000):
         child, _ = describe_mutation(parent, cfg, rng)
         assert count_active_gates(child)[0] == 0
@@ -94,29 +93,24 @@ def test_standard_variant_never_mutates_gates(task, monkeypatch):
 def test_seed_population_properties(task):
     _, train, test = task
     cfg = EvoConfig(p=20, h=4)
-    pop = seed_population(cfg, train.n, train, np.random.default_rng(5))
+    pop = seed_population(cfg, train.n, np.random.default_rng(5))
     assert len(pop) == 20
-    for member in pop:
-        net = member.network
+    for net in pop:
         assert np.all(np.abs(net.w_in) <= 1.0)
         assert np.all(np.abs(net.b_hidden) <= 1.0)
         assert np.all(np.abs(net.w_out) <= 1.0)
         assert abs(net.b_out) <= 1.0
         assert count_active_gates(net)[0] == 0
-        assert member.active_gate_count == 0
-        assert member.fitness == math.inf  # unpriced until run_evolution scores it
     # run_evolution seeds from the same draws and prices the members as the
     # direct forward pass does, up to the fused product's last digit.
     trace = run_evolution(replace(cfg, generations=0), None, train, test, np.random.default_rng(5))
-    best = min(mse(member.network, train) for member in pop)
+    best = min(mse(net, train) for net in pop)
     assert trace.records[0].best_train_mse == pytest.approx(best, rel=1e-12)
-    again = seed_population(cfg, train.n, train, np.random.default_rng(5))
-    assert all(
-        np.array_equal(a.network.w_in, b.network.w_in) for a, b in zip(pop, again)
-    )
+    again = seed_population(cfg, train.n, np.random.default_rng(5))
+    assert all(np.array_equal(a.w_in, b.w_in) for a, b in zip(pop, again))
     empty = replace(train, features=train.features[:0], targets=train.targets[:0])
     with pytest.raises(ValueError, match="training set must be nonempty"):
-        seed_population(cfg, train.n, empty, np.random.default_rng(5))
+        run_evolution(cfg, None, empty, test, np.random.default_rng(5))
 
 
 def test_seed_population_members_share_one_blank_genomes_gates(task, monkeypatch):
@@ -127,19 +121,19 @@ def test_seed_population_members_share_one_blank_genomes_gates(task, monkeypatch
     cfg = EvoConfig(p=6, h=3, variant=Variant.DENDRITE_THRESHOLD)
     monkeypatch.setattr(evolve, "GATE_MUTATION_PROB", 1.0)  # gate mutations only
     rng = np.random.default_rng(6)
-    pop = seed_population(cfg, train.n, train, rng)
+    pop = seed_population(cfg, train.n, rng)
     gates = [name for name in Network.__slots__ if name.startswith("gate_")]
-    first = pop[0].network
-    for member in pop[1:]:
-        assert all(getattr(member.network, g) is getattr(first, g) for g in gates)
-        assert member.network.w_in is not first.w_in
-    before = [[getattr(m.network, g).tobytes() for g in gates] for m in pop]
+    first = pop[0]
+    for net in pop[1:]:
+        assert all(getattr(net, g) is getattr(first, g) for g in gates)
+        assert net.w_in is not first.w_in
+    before = [[getattr(net, g).tobytes() for g in gates] for net in pop]
     layers = set()
     for _ in range(60):
         child, change = describe_mutation(first, cfg, rng)
         layers.add(change.output_layer)
         assert count_active_gates(child)[0] == 1
-        assert [[getattr(m.network, g).tobytes() for g in gates] for m in pop] == before
+        assert [[getattr(net, g).tobytes() for g in gates] for net in pop] == before
     assert layers == {False, True}
 
 
@@ -202,7 +196,7 @@ def test_mutation_changes_at_most_one_gene(task, variant):
     _, train, _ = task
     cfg = EvoConfig(variant=variant)
     rng = np.random.default_rng(17)
-    parent = seed_population(cfg, train.n, train, rng)[0].network
+    parent = seed_population(cfg, train.n, rng)[0]
     for _ in range(400):
         child, change = describe_mutation(parent, cfg, rng)
         diffs = network_diff(parent, child)
@@ -221,25 +215,26 @@ def test_mutation_descriptor_matches_observed_change(task):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.DENDRITE_RANGE)
     rng = np.random.default_rng(23)
-    parent = seed_population(cfg, train.n, train, rng)[0].network
+    parent = seed_population(cfg, train.n, rng)[0]
     for _ in range(300):
         child, change = describe_mutation(parent, cfg, rng)
         if isinstance(change, WeightChange):
             recon = copy.deepcopy(child)
-            if change.kind == 0:
+            if not change.output_layer and change.i >= 0:
                 recon.w_in[change.j, change.i] -= change.delta
                 assert recon.w_in[change.j, change.i] == pytest.approx(
                     parent.w_in[change.j, change.i], abs=1e-15
                 )
-            elif change.kind == 1:
+            elif not change.output_layer:
                 assert child.b_hidden[change.j] == pytest.approx(
                     parent.b_hidden[change.j] + change.delta
                 )
-            elif change.kind == 2:
+            elif change.i >= 0:
                 assert child.w_out[change.j] == pytest.approx(
                     parent.w_out[change.j] + change.delta
                 )
             else:
+                assert change.j == 0
                 assert child.b_out == pytest.approx(parent.b_out + change.delta)
         else:
             assert isinstance(change, GateChange)
@@ -256,7 +251,7 @@ def test_threshold_gate_moves(task):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.DENDRITE_THRESHOLD)
     rng = np.random.default_rng(29)
-    parent = seed_population(cfg, train.n, train, rng)[0].network
+    parent = seed_population(cfg, train.n, rng)[0]
     seen = set()
     for _ in range(3000):
         child, change = describe_mutation(parent, cfg, rng)
@@ -285,7 +280,7 @@ def test_range_gate_moves_keep_edges_sorted(task):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.DENDRITE_RANGE)
     rng = np.random.default_rng(31)
-    parent = seed_population(cfg, train.n, train, rng)[0].network
+    parent = seed_population(cfg, train.n, rng)[0]
     for _ in range(2000):
         child, change = describe_mutation(parent, cfg, rng)
         if isinstance(change, GateChange) and change.new.kind is GateKind.RANGE:
@@ -337,7 +332,7 @@ def test_incremental_evaluator_tracks_direct_route(task, variant):
     cfg = EvoConfig(variant=variant, generations=0)
     evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(40)
-    net = seed_population(cfg, train.n, train, rng)[0].network
+    net = seed_population(cfg, train.n, rng)[0]
     state = evaluator.full_states([net])[0]
     for step in range(300):
         net, change = describe_mutation(net, cfg, rng)
@@ -355,10 +350,10 @@ def test_incremental_evaluator_is_bitwise_for_gateless_networks(task):
     _, train, _ = task
     cfg = EvoConfig()
     evaluator = TrainEvaluator(train)
-    pop = seed_population(cfg, train.n, train, np.random.default_rng(41))
-    for member in pop[:5]:
-        state = evaluator.full_states([member.network])[0]
-        assert evaluator.score(member.network, state) == mse(member.network, train)
+    pop = seed_population(cfg, train.n, np.random.default_rng(41))
+    for net in pop[:5]:
+        state = evaluator.full_states([net])[0]
+        assert evaluator.score(net, state) == mse(net, train)
 
 
 def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
@@ -367,7 +362,7 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
     cfg = EvoConfig()
     evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(42)
-    seeded = seed_population(cfg, train.n, train, rng)[0].network
+    seeded = seed_population(cfg, train.n, rng)[0]
     net = seeded.child("gate_kind_in", "gate_a_in", "gate_b_in")
     net.set_input_gate(1, 3, GateState(GateKind.LOWER, -2.0))  # inputs never reach -2
     state = evaluator.full_states([net])[0]
@@ -394,7 +389,7 @@ def test_evaluator_drop_coins_align_with_direct_route(task):
     cfg = EvoConfig(variant=Variant.RANDOM_DROPOUT)
     evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(43)
-    seeded = seed_population(cfg, train.n, train, rng)[0].network
+    seeded = seed_population(cfg, train.n, rng)[0]
     net = seeded.child(
         "gate_kind_in", "gate_a_in", "gate_b_in", "gate_kind_out", "gate_a_out", "gate_b_out"
     )

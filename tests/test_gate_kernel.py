@@ -17,12 +17,7 @@ import pytest
 from scipy.special import expit
 
 from dendrevo import net as net_module
-from dendrevo.evolve import (
-    _FIELD_B_HIDDEN, _FIELD_W_IN, _FIELD_W_OUT,
-    GateChange,
-    TrainEvaluator,
-    WeightChange,
-)
+from dendrevo.evolve import GateChange, TrainEvaluator, WeightChange
 from dendrevo.net import (
     GateKind, GateState, Network, blocked_matrix, mse, pass_mask, predict,
 )
@@ -408,7 +403,7 @@ def test_input_gate_on_a_feature_value_prices_incrementally_as_in_full(make_gate
     gated = child
     child = gated.child("w_in")
     child.w_in[j, i] += 0.25
-    change = WeightChange(_FIELD_W_IN, j, i, 0.25)
+    change = WeightChange(False, j, i, 0.25)
     assert_child_state_is_the_full_pricing(evaluator, gated, child, change, exact_hidden=False)
 
 
@@ -425,10 +420,10 @@ def test_output_gate_on_a_hidden_activation_prices_incrementally_as_in_full(make
     assert_child_state_is_the_full_pricing(evaluator, parent, child, change, exact_hidden=True)
 
     gated = child
-    for field, name in ((_FIELD_W_OUT, "w_out"), (_FIELD_B_HIDDEN, "b_hidden")):
+    for change, name in ((WeightChange(True, j, 0, 0.25), "w_out"),
+                         (WeightChange(False, j, -1, 0.25), "b_hidden")):
         child = gated.child(name)
         getattr(child, name)[j] += 0.25
-        change = WeightChange(field, j, 0, 0.25)
         assert_child_state_is_the_full_pricing(evaluator, gated, child, change, exact_hidden=False)
 
 

@@ -17,6 +17,7 @@ from dendrevo.harness import (
     ExperimentSpec,
     TRACE_HEADER,
     ablation_study,
+    cell_task,
     compare,
     derive_seed,
     final_values,
@@ -466,6 +467,25 @@ def test_summarize_single_run_has_zero_std():
     summary = summarize(Variant.STANDARD, [synthetic_trace(0.1, 0.2)])
     assert summary.std_test_mse == 0.0
     assert summary.runs == 1
+
+
+@pytest.mark.parametrize(
+    "n, k, train_size, test_size", [(100, 5, 1000, 1000), (1000, 15, 1000, 1000), (1000, 0, 200, 150)]
+)
+def test_cell_task_draws_each_set_as_if_drawn_alone(n, k, train_size, test_size):
+    """A cell's train and test sets, drawn together over one landscape pass,
+    have the bytes each has when drawn alone from its own stream."""
+    spec = ExperimentSpec(
+        config=EvoConfig(), n=n, k=k, train_size=train_size, test_size=test_size
+    )
+    for run in range(2):
+        land, train, test = cell_task(spec, Variant.DENDRITE_THRESHOLD, run)
+        seeds = harness._cell_seeds(spec, Variant.DENDRITE_THRESHOLD, run)
+        assert np.array_equal(land.neighbors, build_landscape(n, k, seeds[0]).neighbors)
+        for data, size, seed in ((train, train_size, seeds[1]), (test, test_size, seeds[2])):
+            alone = generate_dataset(land, size, spec.encoding, np.random.default_rng(seed))
+            assert data.features.tobytes() == alone.features.tobytes()
+            assert data.targets.tobytes() == alone.targets.tobytes()
 
 
 def test_ablation_study_mechanics(tmp_path):

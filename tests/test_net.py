@@ -11,17 +11,16 @@ from dendrevo import net as net_module
 from dendrevo.net import (
     GateKind,
     GateState,
-    Individual,
     Network,
     ablate_output_gates,
     blocked_matrix,
     count_active_gates,
     format_network,
-    gate_fraction,
     load_network,
     mse,
     predict,
 )
+from dendrevo.evolve import Individual
 from dendrevo.harness import save_network
 from dendrevo.nk import Dataset, Encoding
 
@@ -247,7 +246,6 @@ def test_gate_counts_and_fraction():
     net.set_output_gate(1, GateState(GateKind.DROP))
     total, (inner, outer) = count_active_gates(net)
     assert (total, inner, outer) == (3, 2, 1)
-    assert gate_fraction(net) == 3 / net.gateable_count
     assert net.gateable_count == 5 * 2 + 2
     assert net.param_count == 5 * 2 + 2 * 2 + 1
 

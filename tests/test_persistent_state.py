@@ -83,16 +83,16 @@ def oracle_child_state(features, parent_state, child, change):
     state = parent_state.copy()
     if isinstance(change, WeightChange):
         j, i = change.j, change.i
-        if change.kind == 0:
+        if not change.output_layer and i >= 0:
             column = features[:, i]
             state.det_pre_hidden[:, j] += (
                 change.delta * column * oracle_eff_mask(child.input_gate(j, i), column)
             )
             oracle_refresh_node(child, state, j)
-        elif change.kind == 1:
+        elif not change.output_layer:
             state.det_pre_hidden[:, j] += change.delta
             oracle_refresh_node(child, state, j)
-        elif change.kind == 2:
+        elif i >= 0:
             h = state.hidden[:, j]
             state.det_pre_out += change.delta * h * oracle_eff_mask(child.output_gate(j), h)
         else:
@@ -183,11 +183,11 @@ def check_lineages_against_the_oracle(train, cfg, seed_gates=None):
     evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(60)
     pop = []
-    for member in seed_population(cfg, train.n, train, rng):
+    for net in seed_population(cfg, train.n, rng):
         if seed_gates is not None:
-            member.network = seed_gates(member.network)
-        state = evaluator.full_states([member.network])[0]
-        pop.append((member.network, state, as_oracle(state)))
+            net = seed_gates(net)
+        state = evaluator.full_states([net])[0]
+        pop.append((net, state, as_oracle(state)))
     gate_changes = mixed = 0
     for step in range(400):
         net, state, oracle = pop[int(rng.integers(0, len(pop)))]
@@ -260,7 +260,7 @@ def test_state_matrices_are_c_ordered_rebuilds_of_the_columns(task):
     _, train, _ = task
     cfg = EvoConfig(variant=Variant.DENDRITE_RANGE)
     evaluator = TrainEvaluator(train)
-    net = seed_population(cfg, train.n, train, np.random.default_rng(61))[0].network
+    net = seed_population(cfg, train.n, np.random.default_rng(61))[0]
     state = evaluator.full_states([net])[0]
     assert len(state.pre_cols) == len(state.hidden_cols) == net.h
     for matrix, cols in ((state.det_pre_hidden, state.pre_cols), (hidden_matrix(state), state.hidden_cols)):
@@ -278,7 +278,7 @@ def test_descendants_never_change_their_ancestors(task, variant):
     cfg = EvoConfig(variant=variant)
     evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(62)
-    net = seed_population(cfg, train.n, train, rng)[0].network
+    net = seed_population(cfg, train.n, rng)[0]
     state = evaluator.full_states([net])[0]
     chain = [(net, state, genome_bytes(net), state_bytes(state))]
     for _ in range(300):
@@ -295,7 +295,7 @@ def test_children_share_what_their_mutation_does_not_write(task):
     cfg = EvoConfig(variant=Variant.DENDRITE_THRESHOLD)
     evaluator = TrainEvaluator(train)
     rng = np.random.default_rng(63)
-    parent = seed_population(cfg, train.n, train, rng)[0].network
+    parent = seed_population(cfg, train.n, rng)[0]
     parent_state = evaluator.full_states([parent])[0]
     for _ in range(200):
         child, change = describe_mutation(parent, cfg, rng)
@@ -305,7 +305,8 @@ def test_children_share_what_their_mutation_does_not_write(task):
             if name != "b_out" and getattr(child, name) is not getattr(parent, name)
         }
         if isinstance(change, WeightChange):
-            assert written == [{"w_in"}, {"b_hidden"}, {"w_out"}, set()][change.kind]
+            name = [["b_hidden", "w_in"], ["b_out", "w_out"]][change.output_layer][change.i >= 0]
+            assert written == {name} - {"b_out"}  # the output bias is a float, not an array
         elif change.output_layer:
             assert written == {"gate_kind_out", "gate_a_out", "gate_b_out"}
         else:
@@ -317,9 +318,7 @@ def test_children_share_what_their_mutation_does_not_write(task):
             if state.pre_cols[j] is not parent_state.pre_cols[j]
             or state.hidden_cols[j] is not parent_state.hidden_cols[j]
         }
-        hidden_node = isinstance(change, WeightChange) and change.kind in (0, 1)
-        hidden_node |= not isinstance(change, WeightChange) and not change.output_layer
-        assert new_cols == ({change.j} if hidden_node else set())
+        assert new_cols == (set() if change.output_layer else {change.j})
 
 
 def test_the_step_loop_never_deep_copies_a_genome(task, monkeypatch):
@@ -369,13 +368,13 @@ def assert_read_only(net: Network) -> None:
 def test_population_genomes_refuse_in_place_writes(task, monkeypatch):
     land, train, test = task
     cfg = EvoConfig(variant=Variant.DENDRITE_THRESHOLD, generations=3, p=8)
-    seeded = seed_population(cfg, train.n, train, np.random.default_rng(66))
-    for member in seeded:
-        assert_read_only(member.network)
+    seeded = seed_population(cfg, train.n, np.random.default_rng(66))
+    for net in seeded:
+        assert_read_only(net)
     with pytest.raises(ValueError, match="read-only"):
-        seeded[0].network.set_input_gate(0, 0, GateState(GateKind.LOWER, 0.0))
+        seeded[0].set_input_gate(0, 0, GateState(GateKind.LOWER, 0.0))
     # Network.child's copies stay writable; describe_mutation freezes what it wrote.
-    child = seeded[0].network.child("w_in", "gate_kind_out", "gate_a_out", "gate_b_out")
+    child = seeded[0].child("w_in", "gate_kind_out", "gate_a_out", "gate_b_out")
     child.w_in[0, 0] += 1.0
     child.set_output_gate(0, GateState(GateKind.UPPER, 0.5))
 
@@ -394,3 +393,30 @@ def test_population_genomes_refuse_in_place_writes(task, monkeypatch):
     for net in joined:
         assert_read_only(net)
     assert_read_only(trace.final_network)
+
+
+@pytest.mark.parametrize(
+    "variant", [Variant.STANDARD, Variant.DENDRITE_THRESHOLD, Variant.DENDRITE_RANGE]
+)
+def test_each_member_carries_the_state_its_fitness_was_scored_from(task, monkeypatch, variant):
+    land, train, test = task
+    cfg = EvoConfig(variant=variant, generations=3, p=8)
+    real_replace = evolve._replace_slot
+    populations = []
+
+    def spy(pop, offspring, rng):
+        populations.append(pop)
+        return real_replace(pop, offspring, rng)
+
+    monkeypatch.setattr(evolve, "_replace_slot", spy)
+    run_evolution(cfg, land, train, test, np.random.default_rng(68))
+    pop = populations[0]
+    assert len(populations) == cfg.p * cfg.generations
+    assert all(seen is pop for seen in populations) and len(pop) == cfg.p
+    evaluator = TrainEvaluator(train)
+    for member in pop:
+        fresh = evaluator.full_states([member.network])[0]
+        assert np.allclose(member.state.det_pre_hidden, fresh.det_pre_hidden, atol=1e-9)
+        assert np.allclose(member.state.hidden_cols, fresh.hidden_cols, atol=1e-9)
+        assert np.allclose(member.state.det_pre_out, fresh.det_pre_out, atol=1e-9)
+        assert evaluator.score(member.network, member.state) == member.fitness
