@@ -314,7 +314,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     for j in range(net.h):
         print(f"input_gates[{j}] = {int(input_counts[j])}")
     for j in range(net.h):
-        print(f"output_gated[{j}] = {int(net.gate_kind_out[j] != 0)}")
+        print(f"output_gated[{j}] = {int(net.gate_kind_out[0, j] != 0)}")
     return 0
 
 

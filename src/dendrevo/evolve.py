@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .net import (
-    DROP, OPEN_KINDS,
+    DROP, LAYERS, OPEN_KINDS,
     GateKind,
     GateState,
     Network,
@@ -83,10 +83,8 @@ class EvoConfig:
 
 Population = list  # exactly p Individuals, each priced on the training set
 
-_GENOME_ARRAYS = tuple(name for name in Network.__slots__ if name != "b_out")
 
-
-def _freeze(net: Network, names: tuple[str, ...] = _GENOME_ARRAYS) -> Network:
+def _freeze(net: Network, names: tuple[str, ...] = Network.__slots__) -> Network:
     """Make the genome's ``names`` arrays read-only."""
     for name in names:
         getattr(net, name).setflags(False)  # a third of the keyword call's cost
@@ -125,8 +123,8 @@ def seed_population(config: EvoConfig, n: int, rng: np.random.Generator) -> list
         net = blank.child()
         net.w_in = rng.uniform(-1.0, 1.0, size=(config.h, n))
         net.b_hidden = rng.uniform(-1.0, 1.0, size=config.h)
-        net.w_out = rng.uniform(-1.0, 1.0, size=config.h)
-        net.b_out = float(rng.uniform(-1.0, 1.0))
+        net.w_out = rng.uniform(-1.0, 1.0, size=(1, config.h))
+        net.b_out = np.array([rng.uniform(-1.0, 1.0)])
         nets.append(_freeze(net))
     return nets
 
@@ -153,7 +151,7 @@ GATE_MUTATION_PROB = 0.5
 @dataclass(frozen=True)
 class WeightChange:
     """One weight or bias shifted by delta, addressed as a GateChange is;
-    i = -1 names a bias: hidden node j's, or in the output layer (j = 0) the output's."""
+    i = -1 names node j's bias."""
 
     output_layer: bool
     j: int
@@ -164,11 +162,12 @@ class WeightChange:
 @dataclass(frozen=True)
 class GateChange:
     """One connection's gate replaced (old may equal new: the dropout
-    re-enable move is a deliberate no-op)."""
+    re-enable move is a deliberate no-op). ``(output_layer, j, i)`` is the
+    address a ``.dnet`` line starts with: layer, target node, source node."""
 
     output_layer: bool
-    j: int  # hidden node: the connection's target, or in the output layer its source
-    i: int  # input index, input-layer changes only (0 in the output layer)
+    j: int  # the connection's target: a hidden node, or 0 in the output layer
+    i: int  # the connection's source: an input, or a hidden node in the output layer
     old: GateState
     new: GateState
 
@@ -235,39 +234,28 @@ def describe_mutation(
     gate_prob = 0.0 if config.variant is Variant.STANDARD else GATE_MUTATION_PROB
     if rng.random() < gate_prob:  # drawn for STANDARD too, which fixes the stream
         gate_idx = int(rng.integers(0, parent.gateable_count))
-        output_layer = gate_idx >= n * h
-        j, i = (gate_idx - n * h, 0) if output_layer else divmod(gate_idx, n)
-        old = parent.output_gate(j) if output_layer else parent.input_gate(j, i)
+        out = gate_idx >= n * h
+        j, i = (0, gate_idx - n * h) if out else divmod(gate_idx, n)
+        old = parent.gate(out, j, i)
         if old.kind is GateKind.INACTIVE:
             new = _activate_gate(config.variant, rng)
         else:
             new = _mutate_active_gate(old, config.r, rng)
-        if output_layer:
-            written = ("gate_kind_out", "gate_a_out", "gate_b_out")
-            child = parent.child(*written)
-            child.set_output_gate(j, new)
-        else:
-            written = ("gate_kind_in", "gate_a_in", "gate_b_in")
-            child = parent.child(*written)
-            child.set_input_gate(j, i, new)
-        return _freeze(child, written), GateChange(output_layer, j, i, old, new)
+        written = LAYERS[out][:3]
+        child = parent.child(*written)
+        child.set_gate(out, j, i, new)
+        return _freeze(child, written), GateChange(out, j, i, old, new)
     param_idx = int(rng.integers(0, parent.param_count))
     delta = float(rng.uniform(-config.r, config.r))
-    if param_idx < n * h:
-        j, i = divmod(param_idx, n)
-        child = parent.child("w_in")
-        child.w_in[j, i] += delta
-        return _freeze(child, ("w_in",)), WeightChange(False, j, i, delta)
-    # Past the input weights come h hidden biases, h output weights, the output bias.
-    j = param_idx - n * h
-    if j == 2 * h:
-        child = parent.child()
-        child.b_out += delta
-        return child, WeightChange(True, 0, -1, delta)
-    out = j >= h
-    name, j, i = ("w_out", j - h, 0) if out else ("b_hidden", j, -1)
+    # n*h input weights, then h hidden biases, h output weights and the output bias.
+    k = param_idx - n * h
+    if k < 0:
+        out, (j, i) = False, divmod(param_idx, n)
+    else:
+        out, j, i = (False, k, -1) if k < h else (True, 0, k - h if k < 2 * h else -1)
+    name = LAYERS[out][3 if i >= 0 else 4]
     child = parent.child(name)
-    getattr(child, name)[j] += delta
+    getattr(child, name)[(j, i) if i >= 0 else j] += delta
     return _freeze(child, (name,)), WeightChange(out, j, i, delta)
 
 
@@ -380,7 +368,7 @@ class TrainEvaluator:
         if flat.size:
             retract_input_gates(net, pre_hidden, self.features, flat, rng)
         hidden = expit(pre_hidden)
-        pre_out = hidden @ net.w_out + net.b_out
+        pre_out = hidden @ net.w_out[0] + net.b_out
         det = det_gates(net.gate_kind_out)
         if det.size:
             for terms in output_terms(net, hidden.T, det).T:
@@ -400,30 +388,30 @@ class TrainEvaluator:
         if i < 0:
             term = change.delta  # a bias has no gate
         else:
-            values, at = (hidden[j], j) if out else (self.features[:, i], (j, i))
-            kinds, a, b, w = child.layer(out)
-            passed = pass_mask(int(kinds[at]), a[at], b[at], values)
+            values = hidden[i] if out else self.features[:, i]
+            kinds, a, b, w, _ = child.layer(out)
+            passed = pass_mask(int(kinds[j, i]), a[j, i], b[j, i], values)
             if isinstance(change, WeightChange):
                 term = change.delta * values * passed
             else:
                 old = change.old
-                term = float(w[at]) * values * (passed - pass_mask(old.kind, old.a, old.b, values))
+                term = float(w[j, i]) * values * (passed - pass_mask(old.kind, old.a, old.b, values))
         if out:
             return EvalState(pre, hidden, parent_state.det_pre_out + term)
         # Node j's new pre-activation, carried through its output connection.
         pre_j = pre[j] + term
         h_old, h_new = hidden[j], expit(pre_j)
-        kind = int(child.gate_kind_out[j])
+        kind = int(child.gate_kind_out[0, j])
         if kind in OPEN_KINDS:
             diff = h_new - h_old
         else:
-            a, b = child.gate_a_out[j], child.gate_b_out[j]
+            a, b = child.gate_a_out[0, j], child.gate_b_out[0, j]
             diff = h_new * pass_mask(kind, a, b, h_new)
             diff -= h_old * pass_mask(kind, a, b, h_old)
         return EvalState(
             pre[:j] + (pre_j,) + pre[j + 1 :],
             hidden[:j] + (h_new,) + hidden[j + 1 :],
-            parent_state.det_pre_out + float(child.w_out[j]) * diff,
+            parent_state.det_pre_out + float(child.w_out[0, j]) * diff,
         )
 
     def score(
@@ -434,7 +422,7 @@ class TrainEvaluator:
         drop gates in ascending connection order, then one for the
         output layer's."""
         drop_in = (net.gate_kind_in.reshape(-1) == DROP).nonzero()[0]
-        drop_out = (net.gate_kind_out == DROP).nonzero()[0]
+        drop_out = (net.gate_kind_out[0] == DROP).nonzero()[0]
         hidden_cols, pre_out = state.hidden_cols, state.det_pre_out
         if drop_in.size:
             hidden, pre_out = self._forward(net, state.det_pre_hidden, drop_in, rng)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -80,37 +81,40 @@ class GateState:
                 raise ValueError(f"range requires lo <= hi, got ({self.a}, {self.b})")
 
 
+#: Each layer's genome arrays: gate kinds, gate a, gate b, weights, biases.
+#: Weights and gates are (to nodes, from nodes), biases (to nodes,).
+LAYERS = (
+    ("gate_kind_in", "gate_a_in", "gate_b_in", "w_in", "b_hidden"),
+    ("gate_kind_out", "gate_a_out", "gate_b_out", "w_out", "b_out"),
+)
+_LAYER_GETTERS = tuple(attrgetter(*names) for names in LAYERS)
+
+
 class Network:
     """Fully connected n -> h -> 1 perceptron with per-connection gates.
 
     Weights, biases and gate parameters live in dense arrays so mutation
     can index any parameter in O(1); sigmoid transfer at every node.
-    Total weighted parameters: n*h + 2h + 1 (for n=1000, h=10: 10,021).
-    Gates exist on the n*h + h weighted connections only. Genomes in a
-    population share arrays, so once a genome is in one, none of its
-    arrays is written in place (see :mod:`dendrevo.evolve`).
+    Both layers share one layout (``LAYERS``): gates and weights are (to,
+    from), (h, n) and (1, h), and biases (to,), so ``b_out`` is a length-1
+    array. ``.dnet`` lines and mutation records address a parameter alike,
+    as (output layer, to, from). Total weighted parameters: n*h + 2h + 1
+    (for n=1000, h=10: 10,021). Gates exist on the n*h + h weighted
+    connections only. Genomes in a population share arrays, so once a genome
+    is in one, none of its arrays is written in place (see :mod:`dendrevo.evolve`).
     """
 
-    __slots__ = (
-        "w_in", "b_hidden", "w_out", "b_out",
-        "gate_kind_in", "gate_a_in", "gate_b_in",
-        "gate_kind_out", "gate_a_out", "gate_b_out",
-    )
+    __slots__ = LAYERS[0] + LAYERS[1]
 
     def __init__(self, n: int, h: int) -> None:
         """All-zero weights and biases, every gate inactive."""
         if n < 1 or h < 1:
             raise ValueError("need at least one input and one hidden node")
-        self.w_in = np.zeros((h, n))
-        self.b_hidden = np.zeros(h)
-        self.w_out = np.zeros(h)
-        self.b_out = 0.0
-        self.gate_kind_in = np.zeros((h, n), dtype=np.uint8)
-        self.gate_a_in = np.zeros((h, n))
-        self.gate_b_in = np.zeros((h, n))
-        self.gate_kind_out = np.zeros(h, dtype=np.uint8)
-        self.gate_a_out = np.zeros(h)
-        self.gate_b_out = np.zeros(h)
+        for (kinds, *floats, bias), shape in zip(LAYERS, ((h, n), (1, h))):
+            setattr(self, kinds, np.zeros(shape, dtype=np.uint8))
+            for name in floats:
+                setattr(self, name, np.zeros(shape))
+            setattr(self, bias, np.zeros(shape[0]))
 
     @property
     def n(self) -> int:
@@ -140,29 +144,18 @@ class Network:
             setattr(child, name, getattr(self, name).copy())
         return child
 
-    def input_gate(self, j: int, i: int) -> GateState:
-        kind, a, b = self.gate_kind_in[j, i], self.gate_a_in[j, i], self.gate_b_in[j, i]
-        return GateState(GateKind(int(kind)), float(a), float(b))
-
-    def output_gate(self, j: int) -> GateState:
-        kind, a, b = self.gate_kind_out[j], self.gate_a_out[j], self.gate_b_out[j]
-        return GateState(GateKind(int(kind)), float(a), float(b))
-
-    def set_input_gate(self, j: int, i: int, gate: GateState) -> None:
-        self.gate_kind_in[j, i] = int(gate.kind)
-        self.gate_a_in[j, i] = gate.a
-        self.gate_b_in[j, i] = gate.b
-
-    def set_output_gate(self, j: int, gate: GateState) -> None:
-        self.gate_kind_out[j] = int(gate.kind)
-        self.gate_a_out[j] = gate.a
-        self.gate_b_out[j] = gate.b
-
     def layer(self, output: bool) -> tuple[np.ndarray, ...]:
-        """One layer's (gate kinds, gate a, gate b, weights) arrays."""
-        if output:
-            return self.gate_kind_out, self.gate_a_out, self.gate_b_out, self.w_out
-        return self.gate_kind_in, self.gate_a_in, self.gate_b_in, self.w_in
+        """One layer's (gate kinds, gate a, gate b, weights, biases) arrays."""
+        return _LAYER_GETTERS[output](self)
+
+    def gate(self, output: bool, j: int, i: int) -> GateState:
+        """The gate on the connection from node i to node j of one layer."""
+        kinds, a, b = self.layer(output)[:3]
+        return GateState(GateKind(int(kinds[j, i])), float(a[j, i]), float(b[j, i]))
+
+    def set_gate(self, output: bool, j: int, i: int, gate: GateState) -> None:
+        kinds, a, b = self.layer(output)[:3]
+        kinds[j, i], a[j, i], b[j, i] = int(gate.kind), gate.a, gate.b
 
 
 def blocked_matrix(
@@ -228,7 +221,7 @@ def gate_terms(
     to a nonzero partial sum is exact and ``expit`` maps both zeros to the
     same value, so every result is bitwise that of the select.
     """
-    kinds, a, b, w = (m.reshape(-1)[flat] for m in layer)
+    kinds, a, b, w = (m.reshape(-1)[flat] for m in layer[:4])
     blocked = blocked_matrix(kinds, a, b, values, rng)
     values *= w
     values *= blocked
@@ -290,7 +283,7 @@ def predict(
     if flat.size:
         retract_input_gates(net, pre_hidden, features, flat, rng)
     hidden = expit(pre_hidden)
-    pre_out = hidden @ net.w_out + net.b_out
+    pre_out = hidden @ net.w_out[0] + net.b_out
     flat_out = np.flatnonzero(net.gate_kind_out)
     if flat_out.size:
         pre_out -= output_terms(net, hidden.T, flat_out, rng).sum(axis=1)
@@ -319,10 +312,10 @@ def count_active_gates(net: Network) -> tuple[int, tuple[int, int]]:
 
 def ablate_output_gates(net: Network) -> Network:
     """Copy of the network with every hidden-to-output gate disabled."""
-    out = net.child("gate_kind_out", "gate_a_out", "gate_b_out")
-    out.gate_kind_out[:] = GateKind.INACTIVE
-    out.gate_a_out[:] = 0.0
-    out.gate_b_out[:] = 0.0
+    written = LAYERS[1][:3]
+    out = net.child(*written)
+    for name in written:
+        getattr(out, name)[:] = 0
     return out
 
 
@@ -344,17 +337,16 @@ def format_network(net: Network) -> str:
     ``<layer> <to> <from> <weight> <gate-tag> [<gate-params>]``.
     Layer 0 is input-to-hidden (to = hidden node), layer 1 is
     hidden-to-output (to = 0); bias lines use from = -1 and are
-    always ungated. Each hidden node's inputs come in order, then its
+    always ungated. ``<layer> <to> <from>`` is the address a mutation
+    record carries. Each hidden node's inputs come in order, then its
     bias; then the output node's inputs, then its bias.
     """
     lines = [f"DNET 1 {net.n} {net.h}"]
-    layer_in = (net.w_in, net.gate_kind_in, net.gate_a_in, net.gate_b_in)
-    for j, row in enumerate(zip(*(m.tolist() for m in layer_in))):
-        lines += _gated_lines(f"0 {j} ", *row)
-        lines.append(f"0 {j} -1 {net.b_hidden[j]:.17g} I")
-    layer_out = (net.w_out, net.gate_kind_out, net.gate_a_out, net.gate_b_out)
-    lines += _gated_lines("1 0 ", *(m.tolist() for m in layer_out))
-    lines.append(f"1 0 -1 {net.b_out:.17g} I")
+    for layer in (0, 1):
+        kinds, a, b, w, bias = (m.tolist() for m in net.layer(layer))
+        for j, row in enumerate(zip(w, kinds, a, b)):
+            lines += _gated_lines(f"{layer} {j} ", *row)
+            lines.append(f"{layer} {j} -1 {bias[j]:.17g} I")
     return "\n".join(lines) + "\n"
 
 
@@ -381,31 +373,29 @@ def load_network(path: str | Path) -> Network:
         if defined != expected:  # checked before a huge header allocates
             raise ValueError(f"genome file defines {defined} parameters, expected {expected}")
         net = Network(n, h)
-        keys = [(0, j, i) for j in range(h) for i in [*range(n), -1]]
-        keys += [(1, 0, i) for i in [*range(h), -1]]
-        weights = []
-        for (line_no, tokens), key in zip(lines[1:], keys):
-            if len(tokens) < 5:
-                raise ValueError("too few fields")
-            if (int(tokens[0]), int(tokens[1]), int(tokens[2])) != key:
-                raise ValueError(f"expected parameter {key}, got {' '.join(tokens[:3])!r}")
-            weight = float(tokens[3])
-            if not math.isfinite(weight):
-                raise ValueError(f"weight {tokens[3]} is not finite")
-            weights.append(weight)
-            # Most lines carry a bare inactive tag, which Network(n, h) already holds.
-            if tokens[4:] != ["I"]:
-                gate = _parse_gate(tokens[4:])
-                layer, to, frm = key
-                if frm == -1:
-                    raise ValueError("biases cannot carry gates")
-                if layer == 0:
-                    net.set_input_gate(to, frm, gate)
-                else:
-                    net.set_output_gate(frm, gate)
+        body = iter(lines[1:])
+        for layer in (0, 1):
+            *_, w, bias = net.layer(layer)
+            to, frm = w.shape
+            keys = [(layer, j, i) for j in range(to) for i in (*range(frm), -1)]
+            weights = []
+            for key, (line_no, tokens) in zip(keys, body):  # keys first: zip stops at their end
+                if len(tokens) < 5:
+                    raise ValueError("too few fields")
+                if (int(tokens[0]), int(tokens[1]), int(tokens[2])) != key:
+                    raise ValueError(f"expected parameter {key}, got {' '.join(tokens[:3])!r}")
+                weight = float(tokens[3])
+                if not math.isfinite(weight):
+                    raise ValueError(f"weight {tokens[3]} is not finite")
+                weights.append(weight)
+                # Most lines carry a bare inactive tag, which Network(n, h) already holds.
+                if tokens[4:] != ["I"]:
+                    gate = _parse_gate(tokens[4:])
+                    if key[2] == -1:
+                        raise ValueError("biases cannot carry gates")
+                    net.set_gate(*key, gate)
+            rows = np.array(weights).reshape(to, frm + 1)  # each node's inputs, then its bias
+            w[:], bias[:] = rows[:, :frm], rows[:, frm]
     except ValueError as exc:
         raise ValueError(f"line {line_no}: {exc}") from None
-    rows = np.array(weights[:-h - 1]).reshape(h, n + 1)  # each node's inputs, then its bias
-    net.w_in[:], net.b_hidden[:] = rows[:, :n], rows[:, n]
-    net.w_out[:], net.b_out = weights[-h - 1:-1], weights[-1]
     return net

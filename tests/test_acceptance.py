@@ -123,10 +123,10 @@ def test_criterion_01_inactive_gates_match_plain_mlp():
     net.w_in[:] = rng.uniform(-1.0, 1.0, net.w_in.shape)
     net.b_hidden[:] = rng.uniform(-1.0, 1.0, net.b_hidden.shape)
     net.w_out[:] = rng.uniform(-1.0, 1.0, net.w_out.shape)
-    net.b_out = rng.uniform(-1.0, 1.0)
+    net.b_out[:] = rng.uniform(-1.0, 1.0, net.b_out.shape)
     features = rng.uniform(-1.0, 1.0, (1000, 50))
     hidden = expit(features @ net.w_in.T + net.b_hidden)
-    reference = expit(hidden @ net.w_out + net.b_out)
+    reference = expit(hidden @ net.w_out[0] + net.b_out[0])
     got = predict(net, features)
     elapsed = time.perf_counter() - start
     ok = got.shape == reference.shape and np.array_equal(got, reference)
@@ -192,7 +192,7 @@ def _changed_genes(a: Network, b: Network) -> int:
     total = int(np.count_nonzero(a.w_in != b.w_in))
     total += int(np.count_nonzero(a.b_hidden != b.b_hidden))
     total += int(np.count_nonzero(a.w_out != b.w_out))
-    total += int(a.b_out != b.b_out)
+    total += int(np.count_nonzero(a.b_out != b.b_out))
     in_gate = (
         (a.gate_kind_in != b.gate_kind_in)
         | (a.gate_a_in != b.gate_a_in)

@@ -652,9 +652,9 @@ def test_plot_rejects_non_finite_values(tmp_path, capsys, bad):
 
 def test_inspect_reports_gate_placement(tmp_path, capsys):
     net = Network(3, 2)
-    net.set_input_gate(1, 0, GateState(GateKind.LOWER, 0.25))
-    net.set_input_gate(1, 2, GateState(GateKind.RANGE, -0.5, 0.5))
-    net.set_output_gate(0, GateState(GateKind.DROP))
+    net.set_gate(False, 1, 0, GateState(GateKind.LOWER, 0.25))
+    net.set_gate(False, 1, 2, GateState(GateKind.RANGE, -0.5, 0.5))
+    net.set_gate(True, 0, 0, GateState(GateKind.DROP))
     path = tmp_path / "genome.dnet"
     save_network(net, path)
     assert main(["inspect", "--genome", str(path)]) == 0

@@ -21,10 +21,14 @@ from dendrevo.evolve import (
     tournament_select,
 )
 from dendrevo.net import (
+    LAYERS,
     GateKind,
     GateState,
     Network,
+    ablate_output_gates,
     count_active_gates,
+    format_network,
+    load_network,
     mse,
 )
 from dendrevo.nk import Encoding, build_landscape, generate_dataset
@@ -42,12 +46,10 @@ def task():
 def network_diff(parent: Network, child: Network):
     """All parameter and gate slots that differ between two genomes."""
     diffs = []
-    for name in ("w_in", "b_hidden", "w_out"):
+    for name in ("w_in", "b_hidden", "w_out", "b_out"):
         a, b = getattr(parent, name), getattr(child, name)
         for idx in zip(*np.nonzero(a != b)):
             diffs.append(("weight", name, idx))
-    if parent.b_out != child.b_out:
-        diffs.append(("weight", "b_out", ()))
     gate_in_changed = (
         (parent.gate_kind_in != child.gate_kind_in)
         | (parent.gate_a_in != child.gate_a_in)
@@ -99,7 +101,7 @@ def test_seed_population_properties(task):
         assert np.all(np.abs(net.w_in) <= 1.0)
         assert np.all(np.abs(net.b_hidden) <= 1.0)
         assert np.all(np.abs(net.w_out) <= 1.0)
-        assert abs(net.b_out) <= 1.0
+        assert np.all(np.abs(net.b_out) <= 1.0)
         assert count_active_gates(net)[0] == 0
     # run_evolution seeds from the same draws and prices the members as the
     # direct forward pass does, up to the fused product's last digit.
@@ -230,21 +232,101 @@ def test_mutation_descriptor_matches_observed_change(task):
                     parent.b_hidden[change.j] + change.delta
                 )
             elif change.i >= 0:
-                assert child.w_out[change.j] == pytest.approx(
-                    parent.w_out[change.j] + change.delta
+                assert change.j == 0
+                assert child.w_out[0, change.i] == pytest.approx(
+                    parent.w_out[0, change.i] + change.delta
                 )
             else:
                 assert change.j == 0
-                assert child.b_out == pytest.approx(parent.b_out + change.delta)
+                assert child.b_out[0] == pytest.approx(parent.b_out[0] + change.delta)
         else:
             assert isinstance(change, GateChange)
-            if change.output_layer:
-                assert parent.output_gate(change.j) == change.old
-                assert child.output_gate(change.j) == change.new
-            else:
-                assert parent.input_gate(change.j, change.i) == change.old
-                assert child.input_gate(change.j, change.i) == change.new
+            address = (change.output_layer, change.j, change.i)
+            assert change.j == 0 or not change.output_layer
+            assert parent.gate(*address) == change.old
+            assert child.gate(*address) == change.new
         parent = child
+
+
+EVERY_KIND = (
+    GateState(),
+    GateState(GateKind.LOWER, -0.25),
+    GateState(GateKind.UPPER, 0.5),
+    GateState(GateKind.RANGE, -0.5, 0.75),
+    GateState(GateKind.DROP),
+)
+
+
+def every_kind_genome(net: Network) -> Network:
+    """A gated child of a seeded genome: both layers carry every gate kind."""
+    net = net.child(*LAYERS[0][:3], *LAYERS[1][:3])
+    for j in range(net.h):
+        for i in range(net.n):
+            net.set_gate(False, j, i, EVERY_KIND[(i + j) % len(EVERY_KIND)])
+        net.set_gate(True, 0, j, EVERY_KIND[j % len(EVERY_KIND)])
+    return net
+
+
+def edit_kind(change) -> tuple[str, bool, bool]:
+    """Gate or weight, which layer, and whether a connection (not a bias)."""
+    return type(change).__name__, change.output_layer, change.i >= 0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_each_edit_rewrites_the_dnet_line_at_its_address(task, variant):
+    """A mutation record's (output_layer, j, i) is the first three fields of
+    the one .dnet line its edit changes; only the drop re-enable no-op
+    changes none."""
+    _, train, _ = task
+    cfg = EvoConfig(variant=variant, h=5)
+    rng = np.random.default_rng(71)
+    parent = every_kind_genome(seed_population(cfg, train.n, rng)[0])
+    before = format_network(parent).splitlines()
+    seen = set()
+    for _ in range(2000):
+        child, change = describe_mutation(parent, cfg, rng)
+        after = format_network(child).splitlines()
+        assert len(after) == len(before)
+        changed = [line for old, line in zip(before, after) if line != old]
+        if isinstance(change, GateChange) and change.old == change.new:
+            assert change.new.kind is GateKind.DROP and changed == []
+            continue
+        assert len(changed) == 1
+        address = tuple(int(field) for field in changed[0].split()[:3])
+        assert address == (int(change.output_layer), change.j, change.i)
+        seen.add(edit_kind(change))
+    weights = {("WeightChange", out, conn) for out in (False, True) for conn in (False, True)}
+    gates = {("GateChange", out, True) for out in (False, True)}
+    assert seen == (weights if variant is Variant.STANDARD else weights | gates)
+
+
+def assert_one_layout(net: Network) -> None:
+    """Each layer's gates and weights are (to, from) and its biases (to,)."""
+    for output, shape in ((False, (net.h, net.n)), (True, (1, net.h))):
+        arrays = net.layer(output)
+        assert all(m is getattr(net, name) for m, name in zip(arrays, LAYERS[output]))
+        kinds, a, b, w, bias = arrays
+        assert kinds.dtype == np.uint8
+        assert all(m.dtype == np.float64 for m in (a, b, w, bias))
+        assert all(m.shape == shape for m in (kinds, a, b, w))
+        assert bias.shape == shape[:1]
+
+
+def test_both_layers_share_one_layout(task, tmp_path):
+    _, train, _ = task
+    cfg = EvoConfig(variant=Variant.DENDRITE_RANGE, h=4)
+    rng = np.random.default_rng(72)
+    seeded = seed_population(cfg, train.n, rng)[0]
+    path = tmp_path / "genome.dnet"
+    path.write_text(format_network(every_kind_genome(seeded)))
+    loaded = load_network(path)
+    genomes = [Network(3, 2), seeded, loaded, ablate_output_gates(loaded)]
+    children = {}
+    while len(children) < 6:  # a child of each edit kind
+        child, change = describe_mutation(loaded, cfg, rng)
+        children[edit_kind(change)] = child
+    for net in genomes + list(children.values()):
+        assert_one_layout(net)
 
 
 def test_threshold_gate_moves(task):
@@ -300,7 +382,7 @@ def test_replace_parsimony_tie_prefers_fewer_gates():
     def gated(count):
         net = Network(4, 2)
         for i in range(count):
-            net.set_input_gate(0, i, GateState(GateKind.LOWER, 0.0))
+            net.set_gate(False, 0, i, GateState(GateKind.LOWER, 0.0))
         return Individual(net, 0.25, count)
 
     rng = np.random.default_rng(7)
@@ -364,10 +446,10 @@ def test_disabling_vacuous_gate_keeps_score_bitwise_equal(task):
     rng = np.random.default_rng(42)
     seeded = seed_population(cfg, train.n, rng)[0]
     net = seeded.child("gate_kind_in", "gate_a_in", "gate_b_in")
-    net.set_input_gate(1, 3, GateState(GateKind.LOWER, -2.0))  # inputs never reach -2
+    net.set_gate(False, 1, 3, GateState(GateKind.LOWER, -2.0))  # inputs never reach -2
     state = evaluator.full_states([net])[0]
     child = copy.deepcopy(net)
-    child.set_input_gate(1, 3, GateState())
+    child.set_gate(False, 1, 3, GateState())
     change = GateChange(False, 1, 3, GateState(GateKind.LOWER, -2.0), GateState())
     child_state = evaluator.child_state(state, child, change)
     assert evaluator.score(child, child_state) == evaluator.score(net, state)
@@ -377,7 +459,7 @@ def test_evaluator_drop_gates_need_rng(task):
     _, train, _ = task
     evaluator = TrainEvaluator(train)
     net = Network(train.n, 2)
-    net.set_input_gate(0, 0, GateState(GateKind.DROP))
+    net.set_gate(False, 0, 0, GateState(GateKind.DROP))
     state = evaluator.full_states([net])[0]
     with pytest.raises(ValueError, match="rng"):
         evaluator.score(net, state)
@@ -394,8 +476,8 @@ def test_evaluator_drop_coins_align_with_direct_route(task):
         "gate_kind_in", "gate_a_in", "gate_b_in", "gate_kind_out", "gate_a_out", "gate_b_out"
     )
     for i in range(6):
-        net.set_input_gate(i % 10, i, GateState(GateKind.DROP))
-    net.set_output_gate(2, GateState(GateKind.DROP))
+        net.set_gate(False, i % 10, i, GateState(GateKind.DROP))
+    net.set_gate(True, 0, 2, GateState(GateKind.DROP))
     state = evaluator.full_states([net])[0]
     cached = evaluator.score(net, state, np.random.default_rng(77))
     direct = mse(net, train, np.random.default_rng(77))

@@ -57,22 +57,22 @@ def oracle_predict(net, features, rng, drop_prob=DROP_PROB):
         starts = np.flatnonzero(np.r_[True, j_idx[1:] != j_idx[:-1]])
         pre_hidden[:, j_idx[starts]] -= np.add.reduceat(retract, starts, axis=1)
     hidden = expit(pre_hidden)
-    pre_out = hidden @ net.w_out + net.b_out
-    flat_out = np.flatnonzero(net.gate_kind_out)
+    pre_out = hidden @ net.w_out[0] + net.b_out[0]
+    flat_out = np.flatnonzero(net.gate_kind_out[0])
     if flat_out.size:
         values = hidden[:, flat_out]
         passed = oracle_pass_matrix(
-            net.gate_kind_out[flat_out], net.gate_a_out[flat_out],
-            net.gate_b_out[flat_out], values, rng, drop_prob,
+            net.gate_kind_out[0, flat_out], net.gate_a_out[0, flat_out],
+            net.gate_b_out[0, flat_out], values, rng, drop_prob,
         )
-        pre_out -= np.where(passed, 0.0, net.w_out[flat_out] * values).sum(axis=1)
+        pre_out -= np.where(passed, 0.0, net.w_out[0, flat_out] * values).sum(axis=1)
     return expit(pre_out)
 
 
 def oracle_det_retract_out(net, hidden, pre_out):
     """Per-node sequential retraction of deterministic output gates."""
     for j in range(net.h):
-        gate = net.output_gate(j)
+        gate = net.gate(True, 0, j)
         h = hidden[:, j]
         if gate.kind is GateKind.LOWER:
             mask = h >= gate.a
@@ -82,7 +82,7 @@ def oracle_det_retract_out(net, hidden, pre_out):
             mask = (h >= gate.a) & (h <= gate.b)
         else:
             continue
-        pre_out -= np.where(mask, 0.0, net.w_out[j] * h)
+        pre_out -= np.where(mask, 0.0, net.w_out[0, j] * h)
     return pre_out
 
 
@@ -94,7 +94,7 @@ def hidden_matrix(state):
 def oracle_score(data, net, state, rng, drop_prob=DROP_PROB):
     X = data.features
     drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP)
-    drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP)
+    drop_out = np.flatnonzero(net.gate_kind_out[0] == GateKind.DROP)
     hidden, pre_out = hidden_matrix(state), state.det_pre_out.copy()
     if drop_in.size:
         j_idx, i_idx = drop_in // net.n, drop_in % net.n
@@ -105,11 +105,11 @@ def oracle_score(data, net, state, rng, drop_prob=DROP_PROB):
         starts = np.flatnonzero(np.r_[True, j_idx[1:] != j_idx[:-1]])
         pre_hidden[:, j_idx[starts]] -= np.add.reduceat(retract, starts, axis=1)
         hidden = expit(pre_hidden)
-        pre_out = oracle_det_retract_out(net, hidden, hidden @ net.w_out + net.b_out)
+        pre_out = oracle_det_retract_out(net, hidden, hidden @ net.w_out[0] + net.b_out[0])
     if drop_out.size:
         values = hidden[:, drop_out]
         coins = rng.random((hidden.shape[0], drop_out.size)) >= drop_prob
-        pre_out = pre_out - np.where(coins, 0.0, net.w_out[drop_out] * values).sum(axis=1)
+        pre_out = pre_out - np.where(coins, 0.0, net.w_out[0, drop_out] * values).sum(axis=1)
     err = expit(pre_out) - data.targets
     return float(err @ err / err.shape[0])
 
@@ -119,8 +119,8 @@ def gated_network(rng, n, h, density, kinds=(1, 2, 3, 4)):
     net = Network(n, h)
     net.w_in[:] = rng.uniform(-2, 2, size=(h, n))
     net.b_hidden[:] = rng.uniform(-1, 1, size=h)
-    net.w_out[:] = rng.uniform(-2, 2, size=h)
-    net.b_out = float(rng.uniform(-1, 1))
+    net.w_out[0] = rng.uniform(-2, 2, size=h)
+    net.b_out[0] = rng.uniform(-1, 1)
 
     def random_gate():
         kind = GateKind(int(rng.choice(kinds)))
@@ -136,9 +136,9 @@ def gated_network(rng, n, h, density, kinds=(1, 2, 3, 4)):
     for j in range(h):
         for i in range(n):
             if rng.random() < density:
-                net.set_input_gate(j, i, random_gate())
+                net.set_gate(False, j, i, random_gate())
         if rng.random() < density:
-            net.set_output_gate(j, random_gate())
+            net.set_gate(True, 0, j, random_gate())
     return net
 
 
@@ -225,7 +225,7 @@ def test_full_state_is_bitwise_the_select_oracle():
             starts = np.flatnonzero(np.r_[True, j_idx[1:] != j_idx[:-1]])
             pre_hidden[:, j_idx[starts]] -= np.add.reduceat(retract, starts, axis=1)
         hidden = expit(pre_hidden)
-        pre_out = oracle_det_retract_out(net, hidden, hidden @ net.w_out + net.b_out)
+        pre_out = oracle_det_retract_out(net, hidden, hidden @ net.w_out[0] + net.b_out[0])
         assert np.array_equal(state.det_pre_hidden, pre_hidden)
         assert hidden_matrix(state).tobytes() == hidden.tobytes()
         assert expit(state.det_pre_out).tobytes() == expit(pre_out).tobytes()
@@ -243,8 +243,8 @@ def test_full_states_is_bitwise_the_per_member_route():
         for density, kinds, _ in CASES
     ]
     only_output = gated_network(rng, n=9, h=8, density=0.0)
-    only_output.set_output_gate(3, GateState(GateKind.UPPER, 0.6))
-    only_output.set_output_gate(5, GateState(GateKind.DROP))
+    only_output.set_gate(True, 0, 3, GateState(GateKind.UPPER, 0.6))
+    only_output.set_gate(True, 0, 5, GateState(GateKind.DROP))
     nets.insert(2, only_output)
     assert any(not net.gate_kind_in.any() and not net.gate_kind_out.any() for net in nets)
     states = evaluator.full_states(nets)
@@ -262,9 +262,9 @@ def test_drop_gates_without_an_rng_are_refused_on_every_route(layer):
     data = dataset(rng, 16, 5)
     net = gated_network(rng, n=5, h=3, density=0.0)
     if layer == "input":
-        net.set_input_gate(1, 2, GateState(GateKind.DROP))
+        net.set_gate(False, 1, 2, GateState(GateKind.DROP))
     else:
-        net.set_output_gate(2, GateState(GateKind.DROP))
+        net.set_gate(True, 0, 2, GateState(GateKind.DROP))
     evaluator = TrainEvaluator(data)
     state = evaluator.full_states([net])[0]
     with pytest.raises(ValueError, match="needs an rng"):
@@ -393,10 +393,10 @@ def test_input_gate_on_a_feature_value_prices_incrementally_as_in_full(make_gate
     j, i = 1, 2
     gate = make_gate(float(evaluator.features[s, i]))
     child = parent.child("gate_kind_in", "gate_a_in", "gate_b_in")
-    child.set_input_gate(j, i, gate)
+    child.set_gate(False, j, i, gate)
     on_hidden = float(evaluator.full_states([child])[0].hidden_cols[j][s])
     # The child shares the parent's output-gate arrays, so this gates both.
-    parent.set_output_gate(j, make_gate(on_hidden))
+    parent.set_gate(True, 0, j, make_gate(on_hidden))
     change = GateChange(False, j, i, GateState(), gate)
     assert_child_state_is_the_full_pricing(evaluator, parent, child, change, exact_hidden=True)
 
@@ -415,15 +415,15 @@ def test_output_gate_on_a_hidden_activation_prices_incrementally_as_in_full(make
     j = 2
     gate = make_gate(float(evaluator.full_states([parent])[0].hidden_cols[j][s]))
     child = parent.child("gate_kind_out", "gate_a_out", "gate_b_out")
-    child.set_output_gate(j, gate)
-    change = GateChange(True, j, 0, GateState(), gate)
+    child.set_gate(True, 0, j, gate)
+    change = GateChange(True, 0, j, GateState(), gate)
     assert_child_state_is_the_full_pricing(evaluator, parent, child, change, exact_hidden=True)
 
     gated = child
-    for change, name in ((WeightChange(True, j, 0, 0.25), "w_out"),
-                         (WeightChange(False, j, -1, 0.25), "b_hidden")):
+    for change, name, at in ((WeightChange(True, 0, j, 0.25), "w_out", (0, j)),
+                             (WeightChange(False, j, -1, 0.25), "b_hidden", j)):
         child = gated.child(name)
-        getattr(child, name)[j] += 0.25
+        getattr(child, name)[at] += 0.25
         assert_child_state_is_the_full_pricing(evaluator, gated, child, change, exact_hidden=False)
 
 

@@ -1,7 +1,9 @@
 """Gated forward pass against a scalar reference, plus genome IO."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.special import expit
 
 from dendrevo import net as net_module
 from dendrevo.net import (
+    LAYERS,
     GateKind,
     GateState,
     Network,
@@ -55,13 +58,13 @@ def scalar_reference(net, x, drop_decisions=None):
     for j in range(net.h):
         total = float(net.b_hidden[j])
         for i in range(net.n):
-            if admits(net.input_gate(j, i), x[i], (0, j, i)):
+            if admits(net.gate(False, j, i), x[i], (0, j, i)):
                 total += float(net.w_in[j, i]) * x[i]
         hidden.append(sigmoid(total))
-    out = float(net.b_out)
+    out = float(net.b_out[0])
     for j in range(net.h):
-        if admits(net.output_gate(j), hidden[j], (1, j, 0)):
-            out += float(net.w_out[j]) * hidden[j]
+        if admits(net.gate(True, 0, j), hidden[j], (1, 0, j)):
+            out += float(net.w_out[0, j]) * hidden[j]
     return sigmoid(out)
 
 
@@ -69,8 +72,8 @@ def random_gated_network(rng, n=6, h=3, kinds=(1, 2, 3), density=0.4):
     net = Network(n, h)
     net.w_in[:] = rng.uniform(-2, 2, size=(h, n))
     net.b_hidden[:] = rng.uniform(-1, 1, size=h)
-    net.w_out[:] = rng.uniform(-2, 2, size=h)
-    net.b_out = float(rng.uniform(-1, 1))
+    net.w_out[0] = rng.uniform(-2, 2, size=h)
+    net.b_out[0] = rng.uniform(-1, 1)
 
     def random_gate():
         kind = GateKind(int(rng.choice(kinds)))
@@ -86,9 +89,9 @@ def random_gated_network(rng, n=6, h=3, kinds=(1, 2, 3), density=0.4):
     for j in range(h):
         for i in range(n):
             if rng.random() < density:
-                net.set_input_gate(j, i, random_gate())
+                net.set_gate(False, j, i, random_gate())
         if rng.random() < density:
-            net.set_output_gate(j, random_gate())
+            net.set_gate(True, 0, j, random_gate())
     return net
 
 
@@ -128,7 +131,7 @@ def test_gate_passes_inclusive_comparisons():
     assert passes(GateState(GateKind.RANGE, 0.1, 0.1), [0.1]).all()  # degenerate range
     # An inactive gate transmits any value: sigmoid(1e9) = 1 reaches the output.
     net = Network(1, 1)
-    net.w_in[0, 0] = net.w_out[0] = 1.0
+    net.w_in[0, 0] = net.w_out[0, 0] = 1.0
     assert predict(net, np.array([[1e9]]))[0] == expit(1.0)
 
 
@@ -147,7 +150,7 @@ def test_drop_gate_needs_rng_and_respects_probability(monkeypatch):
 
 def test_forward_matches_frozen_sigmoid_value():
     net = Network(1, 1)
-    net.w_out[0] = 1.0
+    net.w_out[0, 0] = 1.0
     assert predict(net, np.array([[0.123]]))[0] == SIGMOID_HALF
 
 
@@ -157,13 +160,13 @@ def test_ungated_forward_equals_plain_mlp_reference():
     net = Network(12, 5)
     net.w_in[:] = rng.uniform(-1, 1, size=(5, 12))
     net.b_hidden[:] = rng.uniform(-1, 1, size=5)
-    net.w_out[:] = rng.uniform(-1, 1, size=5)
-    net.b_out = float(rng.uniform(-1, 1))
+    net.w_out[0] = rng.uniform(-1, 1, size=5)
+    net.b_out[0] = rng.uniform(-1, 1)
     X = rng.uniform(-1, 1, size=(200, 12))
 
     from scipy.special import expit
 
-    reference = expit(expit(X @ net.w_in.T + net.b_hidden) @ net.w_out + net.b_out)
+    reference = expit(expit(X @ net.w_in.T + net.b_hidden) @ net.w_out[0] + net.b_out[0])
     assert np.array_equal(predict(net, X), reference)
 
 
@@ -186,7 +189,7 @@ def test_drop_gates_match_scalar_reference_at_coin_extremes(monkeypatch):
         decisions = {
             (0, j, i): outcome for j in range(net.h) for i in range(net.n)
         }
-        decisions.update({(1, j, 0): outcome for j in range(net.h)})
+        decisions.update({(1, 0, j): outcome for j in range(net.h)})
         want = scalar_reference(net, x, decisions)
         got = predict(net, x[None, :], np.random.default_rng(0))[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -197,10 +200,10 @@ def test_output_gates_test_post_sigmoid_activation():
     raw sum: with bias 10 the hidden activation saturates near 1."""
     net = Network(1, 1)
     net.b_hidden[0] = 10.0  # hidden activation ~ 0.99995
-    net.w_out[0] = 3.0
-    net.set_output_gate(0, GateState(GateKind.UPPER, 0.9))  # blocks values above 0.9
+    net.w_out[0, 0] = 3.0
+    net.set_gate(True, 0, 0, GateState(GateKind.UPPER, 0.9))  # blocks values above 0.9
     assert predict(net, np.zeros((1, 1)))[0] == 0.5  # connection cut: sigmoid(0)
-    net.set_output_gate(0, GateState(GateKind.LOWER, 0.9))  # admits values >= 0.9
+    net.set_gate(True, 0, 0, GateState(GateKind.LOWER, 0.9))  # admits values >= 0.9
     assert predict(net, np.zeros((1, 1)))[0] > 0.9  # sigmoid(3 * ~1)
 
 
@@ -219,7 +222,7 @@ def test_predict_validates_feature_shape():
     net = Network(4, 2)
     with pytest.raises(ValueError):
         predict(net, np.zeros((3, 5)))
-    net.set_input_gate(0, 0, GateState(GateKind.DROP))
+    net.set_gate(False, 0, 0, GateState(GateKind.DROP))
     with pytest.raises(ValueError, match="rng"):
         predict(net, np.zeros((2, 4)))
 
@@ -241,9 +244,9 @@ def test_mse_matches_direct_computation():
 def test_gate_counts_and_fraction():
     net = Network(5, 2)
     assert count_active_gates(net) == (0, (0, 0))
-    net.set_input_gate(0, 1, GateState(GateKind.LOWER, 0.0))
-    net.set_input_gate(1, 4, GateState(GateKind.RANGE, -0.1, 0.1))
-    net.set_output_gate(1, GateState(GateKind.DROP))
+    net.set_gate(False, 0, 1, GateState(GateKind.LOWER, 0.0))
+    net.set_gate(False, 1, 4, GateState(GateKind.RANGE, -0.1, 0.1))
+    net.set_gate(True, 0, 1, GateState(GateKind.DROP))
     total, (inner, outer) = count_active_gates(net)
     assert (total, inner, outer) == (3, 2, 1)
     assert net.gateable_count == 5 * 2 + 2
@@ -277,12 +280,33 @@ def test_network_child_copies_only_the_written_arrays():
     net = Network(3, 2)
     dup = net.child("w_in", "gate_kind_in", "gate_a_in", "gate_b_in")
     dup.w_in[0, 0] = 5.0
-    dup.set_input_gate(1, 2, GateState(GateKind.DROP))
+    dup.set_gate(False, 1, 2, GateState(GateKind.DROP))
     assert net.w_in[0, 0] == 0.0
-    assert net.input_gate(1, 2).kind is GateKind.INACTIVE
+    assert net.gate(False, 1, 2).kind is GateKind.INACTIVE
     assert dup.w_out is net.w_out and dup.gate_kind_out is net.gate_kind_out
-    dup.b_out = 1.0
-    assert net.b_out == 0.0
+    dup.b_out = np.ones(1)
+    assert net.b_out[0] == 0.0
+
+
+def test_only_the_layer_table_names_a_genome_array():
+    """``net.LAYERS`` is the one place in ``src/`` that spells a genome array's
+    name as a string; ``Network.__slots__``, ``Network.layer`` and every
+    written-field tuple of a child are built from it."""
+    assert Network.__slots__ == LAYERS[0] + LAYERS[1]
+    slots = set(Network.__slots__)
+    sites = []
+    for path in sorted(Path(net_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        table = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+            ):
+                table = {id(inner) for inner in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in slots and id(node) not in table:
+                sites.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert sites == []
 
 
 def test_genome_save_load_round_trip(tmp_path):
@@ -294,7 +318,7 @@ def test_genome_save_load_round_trip(tmp_path):
     assert np.array_equal(back.w_in, net.w_in)
     assert np.array_equal(back.b_hidden, net.b_hidden)
     assert np.array_equal(back.w_out, net.w_out)
-    assert back.b_out == net.b_out
+    assert np.array_equal(back.b_out, net.b_out)
     assert np.array_equal(back.gate_kind_in, net.gate_kind_in)
     assert np.array_equal(back.gate_a_in, net.gate_a_in)
     assert np.array_equal(back.gate_b_in, net.gate_b_in)
@@ -318,12 +342,12 @@ def gate_state_export(net: Network) -> str:
     for j in range(net.h):
         for i in range(net.n):
             line = ["0", str(j), str(i), f"{net.w_in[j, i]:.17g}"]
-            lines.append(" ".join(line + tokens(net.input_gate(j, i))))
+            lines.append(" ".join(line + tokens(net.gate(False, j, i))))
         lines.append(f"0 {j} -1 {net.b_hidden[j]:.17g} I")
     for j in range(net.h):
-        line = ["1", "0", str(j), f"{net.w_out[j]:.17g}"]
-        lines.append(" ".join(line + tokens(net.output_gate(j))))
-    lines.append(f"1 0 -1 {net.b_out:.17g} I")
+        line = ["1", "0", str(j), f"{net.w_out[0, j]:.17g}"]
+        lines.append(" ".join(line + tokens(net.gate(True, 0, j))))
+    lines.append(f"1 0 -1 {net.b_out[0]:.17g} I")
     return "\n".join(lines) + "\n"
 
 
@@ -337,7 +361,7 @@ def test_genome_export_is_bytewise_the_gate_state_export(tmp_path):
         GateState(GateKind.RANGE, -0.5, 0.75),
     ]
     for j, gate in enumerate([GateState(), *outputs, GateState(GateKind.DROP)]):
-        net.set_output_gate(j, gate)
+        net.set_gate(True, 0, j, gate)
     for layer in (net.gate_kind_in, net.gate_kind_out):
         assert set(np.unique(layer)) == {0, 1, 2, 3, 4}
     path = tmp_path / "genome.dnet"
@@ -356,7 +380,7 @@ def test_full_scale_genome_with_every_gate_kind_round_trips(tmp_path):
         GateState(GateKind.DROP),
     ]
     for j in range(net.h):  # every kind on the output layer too
-        net.set_output_gate(j, outputs[j % len(outputs)])
+        net.set_gate(True, 0, j, outputs[j % len(outputs)])
     for layer in (net.gate_kind_in, net.gate_kind_out):
         assert set(np.unique(layer)) == {0, 1, 2, 3, 4}
     path = tmp_path / "genome.dnet"

@@ -69,8 +69,8 @@ def oracle_refresh_node(child, state, j):
     h_old = state.hidden[:, j].copy()
     h_new = expit(state.det_pre_hidden[:, j])
     state.hidden[:, j] = h_new
-    gate = child.output_gate(j)
-    w = float(child.w_out[j])
+    gate = child.gate(True, 0, j)
+    w = float(child.w_out[0, j])
     if gate.kind in (GateKind.INACTIVE, GateKind.DROP):
         state.det_pre_out += w * (h_new - h_old)
     else:
@@ -86,15 +86,15 @@ def oracle_child_state(features, parent_state, child, change):
         if not change.output_layer and i >= 0:
             column = features[:, i]
             state.det_pre_hidden[:, j] += (
-                change.delta * column * oracle_eff_mask(child.input_gate(j, i), column)
+                change.delta * column * oracle_eff_mask(child.gate(False, j, i), column)
             )
             oracle_refresh_node(child, state, j)
         elif not change.output_layer:
             state.det_pre_hidden[:, j] += change.delta
             oracle_refresh_node(child, state, j)
         elif i >= 0:
-            h = state.hidden[:, j]
-            state.det_pre_out += change.delta * h * oracle_eff_mask(child.output_gate(j), h)
+            h = state.hidden[:, i]
+            state.det_pre_out += change.delta * h * oracle_eff_mask(child.gate(True, 0, i), h)
         else:
             state.det_pre_out += change.delta
         return state
@@ -107,8 +107,8 @@ def oracle_child_state(features, parent_state, child, change):
         )
         oracle_refresh_node(child, state, j)
         return state
-    h = state.hidden[:, j]
-    w = float(child.w_out[j])
+    h = state.hidden[:, change.i]
+    w = float(child.w_out[0, change.i])
     state.det_pre_out += w * h * (
         oracle_eff_mask(change.new, h) - oracle_eff_mask(change.old, h)
     )
@@ -122,7 +122,7 @@ def oracle_score(data, net, state, rng):
     and an ``np.take`` gather of the dropped output columns. A drop coin
     below 0.5 blocks."""
     drop_in = np.flatnonzero(net.gate_kind_in.reshape(-1) == GateKind.DROP.value)
-    drop_out = np.flatnonzero(net.gate_kind_out == GateKind.DROP.value)
+    drop_out = np.flatnonzero(net.gate_kind_out[0] == GateKind.DROP.value)
     hidden, pre_out = state.hidden, state.det_pre_out
     if drop_in.size:
         nodes, inputs = np.divmod(drop_in, net.n)
@@ -133,15 +133,15 @@ def oracle_score(data, net, state, rng):
         starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
         pre_hidden[:, nodes[starts]] -= np.add.reduceat(retract, starts, axis=1)
         hidden = expit(pre_hidden)
-        pre_out = hidden @ net.w_out + net.b_out
+        pre_out = hidden @ net.w_out[0] + net.b_out[0]
         for j in range(net.h):
-            gate = net.output_gate(j)
+            gate = net.gate(True, 0, j)
             if gate.kind in (GateKind.LOWER, GateKind.UPPER, GateKind.RANGE):
                 h = hidden[:, j]
-                pre_out -= np.where(oracle_eff_mask(gate, h), 0.0, net.w_out[j] * h)
+                pre_out -= np.where(oracle_eff_mask(gate, h), 0.0, net.w_out[0, j] * h)
     if drop_out.size:
         values = np.take(hidden, drop_out, axis=1)
-        values *= net.w_out[drop_out]
+        values *= net.w_out[0, drop_out]
         values *= rng.random(values.shape) < 0.5
         pre_out = pre_out - values.sum(axis=1)
     err = expit(pre_out) - data.targets
@@ -213,7 +213,7 @@ def all_output_drops(net):
     # 8 or more dropped terms in one output sum fix its layout
     net = net.child("gate_kind_out", "gate_a_out", "gate_b_out")
     for j in range(net.h):
-        net.set_output_gate(j, GateState(GateKind.DROP))
+        net.set_gate(True, 0, j, GateState(GateKind.DROP))
     return net
 
 
@@ -233,14 +233,14 @@ def input_drops_and_deterministic_output_gates(net):
     )
     for j in range(net.h):
         for i in range(j % 3, net.n, 3):
-            net.set_input_gate(j, i, GateState(GateKind.DROP))
+            net.set_gate(False, j, i, GateState(GateKind.DROP))
     outputs = (
         GateState(GateKind.LOWER, 0.5),
         GateState(GateKind.UPPER, 0.5),
         GateState(GateKind.RANGE, 0.3, 0.7),
     )
     for j in range(net.h):
-        net.set_output_gate(j, outputs[j % 3])
+        net.set_gate(True, 0, j, outputs[j % 3])
     return net
 
 
@@ -300,13 +300,11 @@ def test_children_share_what_their_mutation_does_not_write(task):
     for _ in range(200):
         child, change = describe_mutation(parent, cfg, rng)
         written = {
-            name
-            for name in Network.__slots__
-            if name != "b_out" and getattr(child, name) is not getattr(parent, name)
+            name for name in Network.__slots__ if getattr(child, name) is not getattr(parent, name)
         }
         if isinstance(change, WeightChange):
             name = [["b_hidden", "w_in"], ["b_out", "w_out"]][change.output_layer][change.i >= 0]
-            assert written == {name} - {"b_out"}  # the output bias is a float, not an array
+            assert written == {name}
         elif change.output_layer:
             assert written == {"gate_kind_out", "gate_a_out", "gate_b_out"}
         else:
@@ -325,7 +323,7 @@ def test_the_step_loop_never_deep_copies_a_genome(task, monkeypatch):
     land, train, test = task
     # What one step may copy: one weight or bias array, or one layer's gates.
     allowed = [
-        set(), {"w_in"}, {"b_hidden"}, {"w_out"},
+        set(), {"w_in"}, {"b_hidden"}, {"w_out"}, {"b_out"},
         {"gate_kind_in", "gate_a_in", "gate_b_in"},
         {"gate_kind_out", "gate_a_out", "gate_b_out"},
     ]
@@ -359,10 +357,10 @@ def test_incremental_fitness_does_not_drift_from_the_direct_pass(task, variant):
 
 
 def assert_read_only(net: Network) -> None:
+    assert len(Network.__slots__) == 10
     for name in Network.__slots__:
-        if name != "b_out":  # a float: the genome's slot is rebound, never written
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(net, name)[(0,) * getattr(net, name).ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(net, name)[(0,) * getattr(net, name).ndim] = 1.0
 
 
 def test_population_genomes_refuse_in_place_writes(task, monkeypatch):
@@ -372,11 +370,17 @@ def test_population_genomes_refuse_in_place_writes(task, monkeypatch):
     for net in seeded:
         assert_read_only(net)
     with pytest.raises(ValueError, match="read-only"):
-        seeded[0].set_input_gate(0, 0, GateState(GateKind.LOWER, 0.0))
+        seeded[0].set_gate(False, 0, 0, GateState(GateKind.LOWER, 0.0))
     # Network.child's copies stay writable; describe_mutation freezes what it wrote.
     child = seeded[0].child("w_in", "gate_kind_out", "gate_a_out", "gate_b_out")
     child.w_in[0, 0] += 1.0
-    child.set_output_gate(0, GateState(GateKind.UPPER, 0.5))
+    child.set_gate(True, 0, 0, GateState(GateKind.UPPER, 0.5))
+    # An output-bias edit copies the length-1 b_out array, and freezes it too.
+    rng = np.random.default_rng(68)
+    edits = (describe_mutation(seeded[0], cfg, rng) for _ in range(10_000))
+    child, _ = next((c, ch) for c, ch in edits if ch.output_layer and ch.i == -1)
+    assert child.b_out is not seeded[0].b_out
+    assert_read_only(child)
 
     real_replace = evolve._replace_slot
     joined = []
