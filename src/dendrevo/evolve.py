@@ -6,16 +6,16 @@ and then overwrites a uniformly chosen victim. When child and victim have
 exactly equal training error, the one using fewer active gates keeps the
 slot, which applies a constant selective pressure against gate use.
 
-A "generation" is P steps of this loop, one offspring per population
-member, so the default 1000-generation run performs 50,000 fitness
-evaluations.
+A "generation" is P steps of this loop, one offspring per member, so
+the default 1000-generation run performs 50,000 fitness evaluations.
 
 Because each mutation changes one gene, training fitness is maintained
 incrementally: every population member carries the deterministic part of
-its pre-activations on the training set, and an offspring's state is its
-parent's plus one column update. Only drop-gate coin flips are redrawn
-per evaluation. The direct forward pass in :mod:`dendrevo.net` remains
-the reference; the cached path must agree with it to float tolerance.
+its training-set pre-activations and its active gate count, and an
+offspring's are its parent's with one column updated and the count moved
+by the edit. Only drop-gate coin flips are redrawn per evaluation. The
+direct forward pass in :mod:`dendrevo.net` remains the reference; the
+cached path must agree with it to float tolerance.
 
 Genomes and states are persistent: a seeded genome, and each array a
 mutation copies and writes, is made read-only. A child shares with its
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .net import (
-    DROP, LAYERS, OPEN_KINDS,
+    DROP, INACTIVE_GATE, LAYERS, OPEN_KINDS,
     GateKind,
     GateState,
     Network,
@@ -178,13 +178,13 @@ MutationRecord = WeightChange | GateChange
 def _activate_gate(variant: Variant, rng: np.random.Generator) -> GateState:
     """Fresh gate for a connection that had none, per the variant."""
     if variant is Variant.DENDRITE_THRESHOLD:
-        threshold = float(rng.uniform(-1.0, 1.0))
+        threshold = 2 * rng.random() - 1  # rng.uniform(-1, 1), bit for bit
         if rng.random() < 0.5:
             return GateState(GateKind.LOWER, threshold)
         return GateState(GateKind.UPPER, threshold)
     if variant is Variant.DENDRITE_RANGE:
-        edges = rng.uniform(-1.0, 1.0, size=2)
-        return GateState(GateKind.RANGE, float(edges.min()), float(edges.max()))
+        edges = sorted((2 * rng.random() - 1, 2 * rng.random() - 1))  # rng.uniform(-1, 1, size=2)
+        return GateState(GateKind.RANGE, *edges)
     if variant is Variant.RANDOM_DROPOUT:
         return GateState(GateKind.DROP)
     raise ValueError(f"variant {variant} cannot introduce gates")
@@ -200,19 +200,19 @@ def _mutate_active_gate(gate: GateState, r: float, rng: np.random.Generator) -> 
     if gate.kind in (GateKind.LOWER, GateKind.UPPER):
         move = int(rng.integers(0, 3))
         if move == 0:
-            return GateState(gate.kind, gate.a + float(rng.uniform(-r, r)))
+            return GateState(gate.kind, gate.a + (2 * r * rng.random() - r))
         if move == 1:
             flipped = GateKind.UPPER if gate.kind is GateKind.LOWER else GateKind.LOWER
             return GateState(flipped, gate.a)
-        return GateState()
+        return INACTIVE_GATE
     if gate.kind is GateKind.RANGE:
         move = int(rng.integers(0, 2))
         if move == 0:
-            edges = np.array([gate.a, gate.b]) + rng.uniform(-r, r, size=2)
-            return GateState(GateKind.RANGE, float(edges.min()), float(edges.max()))
-        return GateState()
+            edges = sorted(edge + (2 * r * rng.random() - r) for edge in (gate.a, gate.b))
+            return GateState(GateKind.RANGE, *edges)
+        return INACTIVE_GATE
     if gate.kind is GateKind.DROP:
-        return GateState(GateKind.DROP) if int(rng.integers(0, 2)) == 0 else GateState()
+        return GateState(GateKind.DROP) if int(rng.integers(0, 2)) == 0 else INACTIVE_GATE
     raise ValueError("cannot mutate an inactive gate here")
 
 
@@ -246,7 +246,7 @@ def describe_mutation(
         child.set_gate(out, j, i, new)
         return _freeze(child, written), GateChange(out, j, i, old, new)
     param_idx = int(rng.integers(0, parent.param_count))
-    delta = float(rng.uniform(-config.r, config.r))
+    delta = 2 * config.r * rng.random() - config.r  # rng.uniform(-r, r), bit for bit
     # n*h input weights, then h hidden biases, h output weights and the output bias.
     k = param_idx - n * h
     if k < 0:
@@ -385,22 +385,25 @@ class TrainEvaluator:
         w * values * (new pass - old pass), where values is the wire's input."""
         pre, hidden = parent_state.pre_cols, parent_state.hidden_cols
         out, j, i = change.output_layer, change.j, change.i
+        base = parent_state.det_pre_out if out else pre[j]  # the sum the term is added to
         if i < 0:
-            term = change.delta  # a bias has no gate
+            summed = base + change.delta  # a bias has no gate
         else:
             values = hidden[i] if out else self.features[:, i]
             kinds, a, b, w, _ = child.layer(out)
             passed = pass_mask(int(kinds[j, i]), a[j, i], b[j, i], values)
             if isinstance(change, WeightChange):
-                term = change.delta * values * passed
+                summed = change.delta * values
+                if not isinstance(passed, float):  # skip an open gate's exact * 1.0
+                    summed *= passed
             else:
-                old = change.old
-                term = float(w[j, i]) * values * (passed - pass_mask(old.kind, old.a, old.b, values))
+                old_pass = pass_mask(change.old.kind, change.old.a, change.old.b, values)
+                summed = float(w[j, i]) * values * (passed - old_pass)
+            summed += base  # the term is a fresh array, so it takes the sum in place
         if out:
-            return EvalState(pre, hidden, parent_state.det_pre_out + term)
+            return EvalState(pre, hidden, summed)
         # Node j's new pre-activation, carried through its output connection.
-        pre_j = pre[j] + term
-        h_old, h_new = hidden[j], expit(pre_j)
+        h_old, h_new = hidden[j], expit(summed)
         kind = int(child.gate_kind_out[0, j])
         if kind in OPEN_KINDS:
             diff = h_new - h_old
@@ -408,10 +411,10 @@ class TrainEvaluator:
             a, b = child.gate_a_out[0, j], child.gate_b_out[0, j]
             diff = h_new * pass_mask(kind, a, b, h_new)
             diff -= h_old * pass_mask(kind, a, b, h_old)
+        diff *= float(child.w_out[0, j])
+        diff += parent_state.det_pre_out
         return EvalState(
-            pre[:j] + (pre_j,) + pre[j + 1 :],
-            hidden[:j] + (h_new,) + hidden[j + 1 :],
-            parent_state.det_pre_out + float(child.w_out[0, j]) * diff,
+            pre[:j] + (summed,) + pre[j + 1 :], hidden[:j] + (h_new,) + hidden[j + 1 :], diff
         )
 
     def score(
@@ -420,17 +423,19 @@ class TrainEvaluator:
         """MSE from a state. Drop coins, when present, are drawn in the
         same order as the direct route: one block for the input layer's
         drop gates in ascending connection order, then one for the
-        output layer's."""
-        drop_in = (net.gate_kind_in.reshape(-1) == DROP).nonzero()[0]
-        drop_out = (net.gate_kind_out[0] == DROP).nonzero()[0]
+        output layer's; one byte search first spares a drop-free net the scans."""
         hidden_cols, pre_out = state.hidden_cols, state.det_pre_out
-        if drop_in.size:
-            hidden, pre_out = self._forward(net, state.det_pre_hidden, drop_in, rng)
-            hidden_cols = hidden.T
-        if drop_out.size:
-            terms = output_terms(net, hidden_cols, drop_out, rng)
-            pre_out = pre_out - terms.sum(axis=1)
-        err = expit(pre_out) - self.targets
+        if bytes((DROP,)) in net.gate_kind_in.tobytes() + net.gate_kind_out.tobytes():
+            drop_in = (net.gate_kind_in.reshape(-1) == DROP).nonzero()[0]
+            drop_out = (net.gate_kind_out[0] == DROP).nonzero()[0]
+            if drop_in.size:
+                hidden, pre_out = self._forward(net, state.det_pre_hidden, drop_in, rng)
+                hidden_cols = hidden.T
+            if drop_out.size:
+                terms = output_terms(net, hidden_cols, drop_out, rng)
+                pre_out = pre_out - terms.sum(axis=1)
+        err = expit(pre_out)
+        err -= self.targets
         return float(err @ err / err.shape[0])
 
 
@@ -515,7 +520,10 @@ def run_evolution(
                 net, change = describe_mutation(parent.network, config, rng)
                 state = evaluator.child_state(parent.state, net, change)
                 fitness = evaluator.score(net, state, rng)
-                _replace_slot(pop, Individual(net, fitness, count_active_gates(net)[0], state), rng)
+                gates = parent.active_gate_count  # carried: +1 per activation, -1 per disable
+                if isinstance(change, GateChange):  # INACTIVE is the one falsy kind
+                    gates += bool(change.new.kind) - bool(change.old.kind)
+                _replace_slot(pop, Individual(net, fitness, gates, state), rng)
             records.append(row())
             row = _record(pop, generation, test, rng, pool)
         records.append(row())

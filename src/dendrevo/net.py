@@ -81,6 +81,8 @@ class GateState:
                 raise ValueError(f"range requires lo <= hi, got ({self.a}, {self.b})")
 
 
+INACTIVE_GATE = GateState()  # frozen, so every inactive gate can be this one
+
 #: Each layer's genome arrays: gate kinds, gate a, gate b, weights, biases.
 #: Weights and gates are (to nodes, from nodes), biases (to nodes,).
 LAYERS = (
@@ -149,8 +151,10 @@ class Network:
         return _LAYER_GETTERS[output](self)
 
     def gate(self, output: bool, j: int, i: int) -> GateState:
-        """The gate on the connection from node i to node j of one layer."""
+        """The gate on connection i -> j of one layer; every inactive one is INACTIVE_GATE."""
         kinds, a, b = self.layer(output)[:3]
+        if kinds[j, i] == INACTIVE:
+            return INACTIVE_GATE
         return GateState(GateKind(int(kinds[j, i])), float(a[j, i]), float(b[j, i]))
 
     def set_gate(self, output: bool, j: int, i: int, gate: GateState) -> None:

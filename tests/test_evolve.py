@@ -1,7 +1,9 @@
 """Selection, mutation, replacement, and the incremental evaluator."""
 
+import ast
 import copy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +162,41 @@ def size_two_tournament_select(pop, rng):
     if fb < fa:
         return b
     return a if rng.random() < 0.5 else b
+
+
+@pytest.mark.parametrize(
+    "low, draw, base",
+    [
+        # a weight delta, or a threshold or range move, at r = 0.1
+        (-0.1, lambda d: 2 * 0.1 * d - 0.1, (0.25, -0.5)),
+        # a fresh threshold or range, whose edges start from 0.0 (an exact add)
+        (-1.0, lambda d: 2 * d - 1, (0.0, 0.0)),
+    ],
+    ids=["r=0.1", "r=1"],
+)
+def test_uniform_draws_are_scaled_random_draws_bit_for_bit(low, draw, base):
+    """``describe_mutation`` draws ``rng.uniform(low, -low)`` as ``draw(rng.random())``.
+    numpy computes ``low + (high - low) * d`` from the same 64-bit double ``d``,
+    ``high - low`` is exactly twice ``high`` and a sum is commutative, so both
+    forms give equal bits and leave the generator in the same state. A RANGE
+    gate's ``size=2`` draw is two such draws in order, sorted. 1,000,000 draws
+    per range: scalar steps in ``describe_mutation``'s order (the gate coin, the
+    index, the value, a fresh threshold's kind coin, a range's two edges), each
+    followed by a block whose elements numpy prices one at a time as it does a
+    scalar draw."""
+    got, want = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(10_000):
+        for rng in (got, want):
+            rng.random()
+            rng.integers(0, 1021)  # an odd number of 32-bit halves, as in a step
+        assert draw(got.random()).hex() == want.uniform(low, -low).hex()
+        assert got.random() == want.random()
+        edges = np.array(base) + want.uniform(low, -low, size=2)
+        ours = sorted(edge + draw(got.random()) for edge in base)
+        assert [e.hex() for e in ours] == [float(edges.min()).hex(), float(edges.max()).hex()]
+        block = want.uniform(low, -low, size=97)
+        assert np.array_equal(draw(got.random(97)).view(np.uint64), block.view(np.uint64))
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize("taken", [0, 1, 3])
@@ -533,6 +570,83 @@ def test_run_evolution_final_network_is_the_last_records_best(task):
     assert out_count == np.count_nonzero(net.gate_kind_out)
     assert total > 0
     assert trace.records[-1].best_gate_fraction == total / net.param_count
+
+
+def gate_move(change: GateChange) -> str:
+    """Which move of ``_activate_gate`` or ``_mutate_active_gate`` made the edit."""
+    old, new = change.old.kind, change.new.kind
+    if old is GateKind.INACTIVE:
+        return "activate"
+    if new is GateKind.INACTIVE:
+        return "disable"
+    if old is not new:
+        return "flip"
+    return "move" if change.old != change.new else "re-enable"
+
+
+@pytest.mark.parametrize(
+    "variant, moves",
+    [
+        (Variant.STANDARD, set()),
+        (Variant.DENDRITE_THRESHOLD, {"activate", "move", "flip", "disable"}),
+        (Variant.DENDRITE_RANGE, {"activate", "move", "disable"}),
+        (Variant.RANDOM_DROPOUT, {"activate", "disable", "re-enable"}),
+    ],
+    ids=[variant.value for variant in Variant],
+)
+def test_carried_gate_counts_equal_a_recount(task, monkeypatch, variant, moves):
+    """Each offspring's active gate count is its parent's moved by its edit. Over
+    a run that makes every move of the variant, the carried count equals a
+    recount of each offspring's genome, and of each final member's."""
+    land, train, test = task
+    seen, pops = set(), []
+    describe, replace_slot = evolve.describe_mutation, evolve._replace_slot
+
+    def describing(parent, config, rng):
+        child, change = describe(parent, config, rng)
+        if isinstance(change, GateChange):
+            seen.add(gate_move(change))
+        return child, change
+
+    def replacing(pop, offspring, rng):
+        assert offspring.active_gate_count == count_active_gates(offspring.network)[0]
+        pops.append(pop)
+        return replace_slot(pop, offspring, rng)
+
+    monkeypatch.setattr(evolve, "describe_mutation", describing)
+    monkeypatch.setattr(evolve, "_replace_slot", replacing)
+    cfg = EvoConfig(variant=variant, generations=20, p=10, h=2)
+    run_evolution(cfg, land, train, test, np.random.default_rng(8))
+    assert seen == moves
+    assert len(pops) == 200
+    assert [m.active_gate_count for m in pops[-1]] == [
+        count_active_gates(m.network)[0] for m in pops[-1]
+    ]
+
+
+def test_step_loop_counts_no_gates():
+    """``run_evolution``'s step loop, the one that calls ``describe_mutation``,
+    takes each offspring's gate count from its parent and its edit: it calls no
+    ``count_active_gates``, which only pricing a whole population does."""
+
+    def called(node):
+        return {
+            getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        }
+
+    tree = ast.parse(Path(evolve.__file__).read_text())
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    loops = [
+        loop
+        for loop in ast.walk(funcs["run_evolution"])
+        if isinstance(loop, ast.For) and "describe_mutation" in called(loop)
+    ]
+    step = loops[-1]  # the innermost: ast.walk visits outer loops first
+    assert not any(isinstance(node, ast.For) for node in ast.walk(step) if node is not step)
+    assert "count_active_gates" not in called(step)
+    assert "count_active_gates" in called(funcs["_price"])
 
 
 def test_run_evolution_validates_dimensions(task):

@@ -288,6 +288,19 @@ def test_network_child_copies_only_the_written_arrays():
     assert net.b_out[0] == 0.0
 
 
+def test_inactive_gates_are_one_shared_gate_state():
+    """``Network.gate`` returns one frozen ``GateState()`` for every inactive
+    gate; a child's ``set_gate`` on that connection leaves the parent's."""
+    net = Network(3, 2)
+    shared = net.gate(False, 0, 1)
+    assert shared == GateState()
+    assert net.gate(False, 1, 2) is shared and net.gate(True, 0, 1) is shared
+    child = net.child(*LAYERS[0][:3])
+    child.set_gate(False, 0, 1, GateState(GateKind.LOWER, 0.25))
+    assert child.gate(False, 0, 1) == GateState(GateKind.LOWER, 0.25)
+    assert net.gate(False, 0, 1) is shared and shared == GateState()
+
+
 def test_only_the_layer_table_names_a_genome_array():
     """``net.LAYERS`` is the one place in ``src/`` that spells a genome array's
     name as a string; ``Network.__slots__``, ``Network.layer`` and every
