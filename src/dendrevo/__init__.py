@@ -21,7 +21,6 @@ from .harness import (
     ablation_study,
     compare,
     read_trace_rows,
-    run_cell,
     run_experiment,
     sweep_n,
     welch_t_test,
@@ -55,7 +54,6 @@ __all__ = [
     "mse",
     "predict",
     "read_trace_rows",
-    "run_cell",
     "run_evolution",
     "run_experiment",
     "seed_population",

@@ -41,10 +41,10 @@ from .net import (
     Network,
     count_active_gates,
     det_gates,
+    hidden_pass,
     mse,
     output_terms,
     pass_mask,
-    retract_input_gates,
 )
 from .nk import Dataset, NKLandscape, generate_dataset
 
@@ -79,9 +79,6 @@ class EvoConfig:
             raise ValueError(f"mutation range half-width must be > 0 with 2r finite, got {self.r}")
         if self.generations < 0:
             raise ValueError("generations cannot be negative")
-
-
-Population = list  # exactly p Individuals, each priced on the training set
 
 
 def _freeze(net: Network, names: tuple[str, ...] = Network.__slots__) -> Network:
@@ -129,7 +126,7 @@ def seed_population(config: EvoConfig, n: int, rng: np.random.Generator) -> list
     return nets
 
 
-def tournament_select(pop: Population, rng: np.random.Generator) -> int:
+def tournament_select(pop: list[Individual], rng: np.random.Generator) -> int:
     """Binary tournament: two uniform draws with replacement, lower
     training error wins, exact tie decided by a fair coin. Two scalar draws
     give the pair one ``size=2`` draw gives, at half its cost."""
@@ -260,7 +257,7 @@ def describe_mutation(
 
 
 def _replace_slot(
-    pop: Population,
+    pop: list[Individual],
     offspring: Individual,
     rng: np.random.Generator,
 ) -> tuple[int, bool]:
@@ -362,13 +359,10 @@ class TrainEvaluator:
         )
 
     def _forward(self, net: Network, pre_hidden: np.ndarray, flat: np.ndarray, rng=None):
-        """Retract the input gates at ``flat`` from ``pre_hidden`` in place; return
-        the hidden activations and the output pre-activation, the deterministic
-        output gates' terms subtracted one node at a time in ascending order."""
-        if flat.size:
-            retract_input_gates(net, pre_hidden, self.features, flat, rng)
-        hidden = expit(pre_hidden)
-        pre_out = hidden @ net.w_out[0] + net.b_out
+        """:func:`dendrevo.net.hidden_pass` over the input gates at ``flat``, then
+        the deterministic output gates' terms subtracted from the output
+        pre-activation one node at a time in ascending order."""
+        hidden, pre_out = hidden_pass(net, pre_hidden, self.features, flat, rng)
         det = det_gates(net.gate_kind_out)
         if det.size:
             for terms in output_terms(net, hidden.T, det).T:
@@ -447,7 +441,7 @@ class TrainEvaluator:
 OVERLAP_MIN_MACS = 2_000_000
 
 
-def _record(pop: Population, generation: int, test: Dataset, rng, pool: ThreadPoolExecutor):
+def _record(pop: list[Individual], generation: int, test: Dataset, rng, pool: ThreadPoolExecutor):
     """The generation's trace row, as a call that returns it. All but the best
     member's test error is read now, before the next generation replaces members;
     that is priced on ``pool``'s thread with no rng, unless the product is below

@@ -33,13 +33,6 @@ from .nk import Dataset, Encoding, NKLandscape, build_landscape, generate_datase
 TRACE_HEADER = ",".join(["variant", "run", *(f.name for f in fields(TraceRecord))])
 _record_values = attrgetter(*(f.name for f in fields(TraceRecord)))
 
-# Entropy tags for per-cell stream derivation. A cell's streams are keyed
-# by (master, n, k, variant code, run index, tag).
-_STREAM_LANDSCAPE = 0
-_STREAM_TRAIN = 1
-_STREAM_TEST = 2
-_STREAM_EVOLVE = 3
-
 _VARIANT_CODE = {
     Variant.STANDARD: 0,
     Variant.DENDRITE_THRESHOLD: 1,
@@ -104,16 +97,11 @@ class ExperimentSpec:
             raise ValueError("train and test sets must be nonempty")
 
 
-def _cell_seeds(
-    spec: ExperimentSpec, variant: Variant, run: int
-) -> tuple[int, int, int, int]:
+def _cell_seeds(spec: ExperimentSpec, variant: Variant, run: int) -> list[int]:
+    """The cell's landscape, train, test and evolution stream seeds, keyed by
+    (master, n, k, variant code, run index, tag) with tags 0, 1, 2 and 3."""
     base = (spec.n, spec.k, _VARIANT_CODE[variant], run)
-    return (
-        derive_seed(spec.master_seed, *base, _STREAM_LANDSCAPE),
-        derive_seed(spec.master_seed, *base, _STREAM_TRAIN),
-        derive_seed(spec.master_seed, *base, _STREAM_TEST),
-        derive_seed(spec.master_seed, *base, _STREAM_EVOLVE),
-    )
+    return [derive_seed(spec.master_seed, *base, tag) for tag in range(4)]
 
 
 def cell_task(
@@ -327,15 +315,19 @@ def _run_and_store(spec: ExperimentSpec, variant: Variant, run: int, runs_dir: P
 def _finish_cells(spec: ExperimentSpec, pending: list, runs_dir: Path, workers: int):
     """Yield ((variant, run), trace) for each pending cell as it finishes:
     lazily in grid order in this process, or in completion order from a
-    pool of ``workers`` processes when more than one cell is pending."""
+    pool of ``workers`` processes when more than one cell is pending; a
+    failure cancels the queued cells, and those handed to a worker finish."""
     if workers == 1 or len(pending) <= 1:
         for variant, run in pending:
             yield (variant, run), _run_and_store(spec, variant, run, runs_dir)
         return
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+    try:
         futures = {pool.submit(_run_and_store, spec, *cell, runs_dir): cell for cell in pending}
         for future in as_completed(futures):
             yield futures[future], future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(

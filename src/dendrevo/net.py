@@ -232,24 +232,28 @@ def gate_terms(
     return values
 
 
-def retract_input_gates(
+def hidden_pass(
     net: Network,
-    pre: np.ndarray,
+    pre_hidden: np.ndarray,
     features: np.ndarray,
     flat: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> None:
-    """Retract the input-layer gates at row-major indices ``flat`` from
-    the (batch, h) hidden pre-activations ``pre``, in place; each node's
-    terms are summed by one ``np.add.reduceat`` segment."""
-    nodes, inputs = np.divmod(flat, net.n)  # row-major, so nodes ascend
-    terms = gate_terms(net.layer(False), flat, np.take(features, inputs, axis=1), rng)
-    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
-    sums = np.add.reduceat(terms, starts, axis=1)
-    if starts.size == pre.shape[1]:
-        pre -= sums  # every node is hit: skip the slow column scatter
-    else:
-        pre[:, nodes[starts]] -= sums
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hidden layer of a gated pass: retract the input gates at row-major
+    indices ``flat`` from the (batch, h) ``pre_hidden`` in place, one
+    ``np.add.reduceat`` segment per node; return the hidden activations and
+    the output pre-activation before any output gate retracts."""
+    if flat.size:
+        nodes, inputs = np.divmod(flat, net.n)  # row-major, so nodes ascend
+        terms = gate_terms(net.layer(False), flat, np.take(features, inputs, axis=1), rng)
+        starts = np.flatnonzero(np.diff(nodes, prepend=-1))
+        sums = np.add.reduceat(terms, starts, axis=1)
+        if starts.size == pre_hidden.shape[1]:
+            pre_hidden -= sums  # every node is hit: skip the slow column scatter
+        else:
+            pre_hidden[:, nodes[starts]] -= sums
+    hidden = expit(pre_hidden)
+    return hidden, hidden @ net.w_out[0] + net.b_out
 
 
 def output_terms(
@@ -283,11 +287,7 @@ def predict(
     if features.ndim != 2 or features.shape[1] != net.n:
         raise ValueError(f"features must be (batch, {net.n}), got {features.shape}")
     pre_hidden = features @ net.w_in.T + net.b_hidden
-    flat = np.flatnonzero(net.gate_kind_in)
-    if flat.size:
-        retract_input_gates(net, pre_hidden, features, flat, rng)
-    hidden = expit(pre_hidden)
-    pre_out = hidden @ net.w_out[0] + net.b_out
+    hidden, pre_out = hidden_pass(net, pre_hidden, features, np.flatnonzero(net.gate_kind_in), rng)
     flat_out = np.flatnonzero(net.gate_kind_out)
     if flat_out.size:
         pre_out -= output_terms(net, hidden.T, flat_out, rng).sum(axis=1)

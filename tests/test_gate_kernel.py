@@ -302,11 +302,8 @@ def test_drop_coins_are_drawn_only_in_blocked_matrix():
     assert sites == [("net", "blocked_matrix")]
 
 
-def test_blocked_matrix_is_called_only_by_gate_terms():
-    """Both layers share one term step, ``gate_terms``, which the input
-    layer's ``retract_input_gates`` and the output layer's ``output_terms``
-    call; every other caller goes through one of those two and keeps only
-    its own pinned sum."""
+def call_sites(name):
+    """(module, function) of each call in ``src/`` of ``name``, bare or as an attribute."""
     sites = []
     for path in sorted(Path(net_module.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -315,11 +312,25 @@ def test_blocked_matrix_is_called_only_by_gate_terms():
                     (path.stem, func.name)
                     for node in ast.walk(func)
                     if isinstance(node, ast.Call)
-                    and "blocked_matrix" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
-                    )
+                    and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
                 ]
-    assert sites == [("net", "gate_terms")]
+    return sites
+
+
+def test_blocked_matrix_is_called_only_by_gate_terms():
+    """Both layers share one term step, ``gate_terms``, which the input
+    layer's ``hidden_pass`` and the output layer's ``output_terms`` call;
+    every other caller goes through one of those two and keeps only its own
+    pinned sum."""
+    assert call_sites("blocked_matrix") == [("net", "gate_terms")]
+
+
+def test_the_hidden_layer_pass_is_written_once():
+    """``np.add.reduceat`` sums the input gates' terms in one function,
+    ``hidden_pass``, and both gated passes, ``predict`` and the evaluator's
+    ``_forward``, reach the hidden layer through it."""
+    assert call_sites("reduceat") == [("net", "hidden_pass")]
+    assert sorted(call_sites("hidden_pass")) == [("evolve", "_forward"), ("net", "predict")]
 
 
 # --- the inclusive rule's two forms -------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import dendrevo
 from dendrevo import harness
 
 from dendrevo.evolve import EvoConfig, RunTrace, TraceRecord, Variant
@@ -301,6 +303,22 @@ def test_no_module_reads_the_environment():
     assert readers == set()
 
 
+def test_the_package_root_exports_only_what_the_readme_and_the_criteria_use():
+    """Every name in ``dendrevo.__all__`` is imported from ``dendrevo`` by the
+    acceptance criteria or named in README's "Python API" section."""
+    root = Path(__file__).resolve().parents[1]
+    criteria = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(criteria)
+        if isinstance(node, ast.ImportFrom) and node.module == "dendrevo"
+        for alias in node.names
+    }
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    api = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    assert set(dendrevo.__all__) - imported - set(re.findall(r"\w+", api)) == set()
+
+
 def test_a_failed_cell_is_named_in_the_error(tmp_path, monkeypatch):
     def boom(spec, variant, run):
         raise ValueError("boom")
@@ -308,6 +326,29 @@ def test_a_failed_cell_is_named_in_the_error(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_cell", boom)
     with pytest.raises(RuntimeError, match=r"variant=standard, run=0\): boom"):
         run_experiment(tiny_spec(), out_dir=tmp_path / "exp", workers=1)
+
+
+def test_a_failed_pooled_cell_stops_the_queue_and_a_rerun_resumes(tmp_path):
+    """A pooled grid raises once its first cell fails, without running the
+    cells still queued; the cells it did finish are kept, and a rerun after
+    the fault is cleared gives the bytes of a one-worker run."""
+    spec = tiny_spec(config=EvoConfig(p=6, h=2, generations=800), runs=6)  # 12 cells of ~0.1 s
+    out = tmp_path / "pooled"
+    blocker = out / "runs" / "standard-run000.dnet"
+    blocker.mkdir(parents=True)  # the first cell's genome cannot be renamed over it
+    with pytest.raises(RuntimeError, match=r"variant=standard, run=0\)"):
+        run_experiment(spec, out_dir=out, workers=2)
+    written = len(list((out / "runs").glob("*.trace.csv")))
+    assert written < 2 * spec.runs - 1
+    blocker.rmdir()
+    run_experiment(spec, out_dir=out, workers=2)
+    run_experiment(spec, out_dir=tmp_path / "sequential", workers=1)
+    files = {
+        d: {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+        for d in (out, tmp_path / "sequential")
+    }
+    assert len(files[out]) == 1 + 2 * 2 * spec.runs  # manifest, then a genome and a trace per cell
+    assert files[out] == files[tmp_path / "sequential"]
 
 
 def test_run_experiment_rejects_stale_cache(tmp_path):
